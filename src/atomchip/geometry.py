@@ -295,32 +295,71 @@ def _check_footprint_overlap(wires: Sequence[WireSegmentPath]) -> None:
 # conductor proximity
 # ---------------------------------------------------------------------------
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the leading ones.
+
+    numpy evaluates each (1,3) @ (3,1) product with the same dot routine as
+    ``np.dot`` on two 3-vectors, so every product rounds as it would point
+    by point and boundary points are decided the same way; an elementwise
+    sum can differ in the last bit.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+class ConductorFrames:
+    """Segment frames of ``wires``, compiled once for the conductor test.
+
+    Each centerline segment keeps its start, unit tangent, length,
+    horizontal normal and cross-section half-extents, in layout order.
+    """
+
+    def __init__(self, wires: Sequence[WireSegmentPath]):
+        def stack(per_wire) -> np.ndarray:
+            return np.concatenate([np.empty((0, 3)), *per_wire])
+
+        self.n_wires = len(wires)
+        counts = [len(w.nodes) - 1 for w in wires]
+        d = stack(np.diff(w.points, axis=0) for w in wires)
+        self.wire_index = np.repeat(np.arange(self.n_wires), counts)
+        self.start = stack(w.points[:-1] for w in wires)
+        self.length = np.sqrt(_dot3(d, d))
+        self.tangent = d / self.length[:, None]
+        self.normal = stack(_segment_horizontal_normals(w.points, w.name) for w in wires)
+        self.half_width = np.repeat([w.width / 2.0 for w in wires], counts)
+        self.half_thickness = np.repeat([w.thickness / 2.0 for w in wires], counts)
+
+    def first_containing(self, points, pad: float = 0.0) -> np.ndarray:
+        """Per point, the index of the first wire whose volume (padded by
+        ``pad``) contains it, or -1.
+
+        A segment's box is clipped along its tangent, so a point beyond a
+        segment end counts only within ``pad`` of the end face.  Works on
+        whole (points x segments) arrays; callers bound their size.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        w = points[:, None, :] - self.start[None, :, :]
+        proj = _dot3(w, self.tangent)
+        s = np.clip(proj, 0.0, self.length)
+        r = w - s[..., None] * self.tangent
+        inside = (
+            (np.abs(proj - s) <= pad)  # nonzero only beyond the ends
+            & (np.abs(_dot3(r, self.normal)) <= self.half_width + pad)
+            & (np.abs(r[..., 1]) <= self.half_thickness + pad)
+        )
+        # segments run in layout order, so the lowest hit index is the first wire
+        first = np.where(inside, self.wire_index, self.n_wires).min(axis=1, initial=self.n_wires)
+        return np.where(first < self.n_wires, first, -1)
+
+
 def point_inside_wire(wire: WireSegmentPath, point: np.ndarray, pad: float = 0.0) -> bool:
     """True if ``point`` lies inside the wire volume (padded by ``pad``)."""
-    p = np.asarray(point, dtype=float)
-    pts = wire.points
-    hw = wire.width / 2.0 + pad
-    ht = wire.thickness / 2.0 + pad
-    normals = _segment_horizontal_normals(pts, wire.name)
-    for k in range(len(pts) - 1):
-        a, b = pts[k], pts[k + 1]
-        t_hat = (b - a) / np.linalg.norm(b - a)
-        w = p - a
-        s = np.clip(np.dot(w, t_hat), 0.0, np.linalg.norm(b - a))
-        r = w - s * t_hat
-        along = np.dot(w, t_hat) - s  # nonzero only beyond the ends
-        if abs(along) > pad:
-            continue
-        if abs(np.dot(r, normals[k])) <= hw and abs(r[1]) <= ht:
-            return True
-    return False
+    return bool(ConductorFrames((wire,)).first_containing(point, pad)[0] >= 0)
 
 
 def wire_containing(layout: ChipLayout, point: np.ndarray, pad: float = 0.0) -> str | None:
-    for w in layout.wires:
-        if point_inside_wire(w, point, pad=pad):
-            return w.name
-    return None
+    """Name of the first wire in layout order containing ``point``, or None."""
+    k = int(ConductorFrames(layout.wires).first_containing(point, pad)[0])
+    return None if k < 0 else layout.wires[k].name
 
 
 # ---------------------------------------------------------------------------

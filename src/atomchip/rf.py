@@ -59,12 +59,16 @@ class RfDriveState:
 def rf_field_phasor(model: BiotSavartModel, drive: RfDriveState, points) -> np.ndarray:
     """Complex rf field phasor at ``points``: sum of I_ch e^{i phase} unit fields."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    phasor = np.zeros((len(points), 3), dtype=complex)
+    return _phasor(drive, lambda ch: model.channel_unit_field(ch, points), len(points))
+
+
+def _phasor(drive: RfDriveState, unit_field, n_points: int) -> np.ndarray:
+    """Sum of I_ch e^{i phase} ``unit_field(ch)`` over the driven channels."""
+    phasor = np.zeros((n_points, 3), dtype=complex)
     for channel, d in drive.channels.items():
         if d.amplitude == 0.0:
             continue
-        unit = model.channel_unit_field(channel, points)
-        phasor = phasor + d.amplitude * np.exp(1j * d.phase) * unit
+        phasor = phasor + d.amplitude * np.exp(1j * d.phase) * unit_field(channel)
     return phasor
 
 
@@ -120,15 +124,20 @@ def dressed_potential_line(model: BiotSavartModel, currents: CurrentConfig,
     Returns (s, U) with s the signed offset along ``direction`` (unit
     normalized) and U in joules.
     """
-    center = np.asarray(center, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    s = np.linspace(-halfwidth, halfwidth, n)
-    points = center[None, :] + s[:, None] * direction[None, :]
+    s, points = _slice_points(center, direction, halfwidth, n)
     B = model.field(currents, points)
     phasor = rf_field_phasor(model, drive, points)
     U = dressed_potential(B, phasor, drive.frequency, species, drive.m_tilde)
     return s, U
+
+
+def _slice_points(center, direction, halfwidth: float, n: int):
+    """Offsets s and points center + s * unit(direction) of an n-point slice."""
+    center = np.asarray(center, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    s = np.linspace(-halfwidth, halfwidth, n)
+    return s, center[None, :] + s[:, None] * direction[None, :]
 
 
 @dataclass(frozen=True)
@@ -270,14 +279,26 @@ def split_scan(model: BiotSavartModel, currents: CurrentConfig, species: AtomSpe
     static = magnetic_potential(model, currents, species)
     center = find_trap_minimum(static, seed_point).minimum
 
+    # the ramp rescales the rf currents only, so each slice size needs the
+    # static field and the per-channel unit fields once
+    slices = {}
+
+    def dressed_slice(scaled: RfDriveState, n: int):
+        if n not in slices:
+            s, points = _slice_points(center, direction, halfwidth, n)
+            B = model.field(currents, points)
+            slices[n] = s, B, {ch: model.channel_unit_field(ch, points)
+                               for ch, d in drive.channels.items() if d.amplitude != 0.0}
+        s, B, units = slices[n]
+        phasor = _phasor(scaled, units.__getitem__, len(s))
+        return s, dressed_potential(B, phasor, scaled.frequency, species, scaled.m_tilde)
+
     reports = []
     for a in amplitudes:
         scaled = drive.scaled(a / ref)
         n = n_samples
         for attempt in range(3):
-            s, u = dressed_potential_line(
-                model, currents, species, scaled, center, direction, halfwidth, n
-            )
+            s, u = dressed_slice(scaled, n)
             try:
                 report = characterize_double_well(s, u, slice_axis=tuple(direction))
                 break

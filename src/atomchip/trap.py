@@ -61,13 +61,15 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
         return u
 
     def energy_batch(points: np.ndarray) -> np.ndarray:
+        """U at each point, inf inside a conductor; the field is evaluated
+        outside conductors only."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = model.inside_conductor_mask(points)
-        B = model.field(currents, points, check_domain=False)
-        u = species.zeeman_slope * np.linalg.norm(B, axis=1)
+        outside = model.conductor_index(points) < 0
+        u = np.full(len(points), np.inf)
+        B = model.field(currents, points[outside], check_domain=False)
+        u[outside] = species.zeeman_slope * np.linalg.norm(B, axis=1)
         if gravity:
             u = u - species.mass * (points @ g)
-        u[inside | ~np.isfinite(u)] = np.inf
         return u
 
     def field(r: np.ndarray) -> np.ndarray:
@@ -274,11 +276,16 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
     """Lowest escape barrier along radial/axial rays inside a search box.
 
     Rays follow the 26-direction stencil, rotated into the principal frame
-    when ``axes`` is given.  Returns (depth J, is_lower_bound); the flag is
-    set when the limiting ray is still climbing at the box edge.
+    when ``axes`` is given; points inside a conductor count as an infinite
+    barrier.  Returns (depth J, is_lower_bound); the flag is set when the
+    limiting ray is still climbing at the box edge.
     """
     x0 = np.asarray(minimum, dtype=float)
     u0 = pdef.energy(x0)
+    energy_batch = pdef.energy_batch
+    if energy_batch is None:
+        def energy_batch(points):
+            return [pdef.energy(p) for p in points]
     dirs = _DEPTH_DIRECTIONS
     if axes is not None:
         dirs = dirs @ np.asarray(axes)
@@ -288,19 +295,7 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
     lower_bound = False
     for d in dirs:
         pts = x0[None, :] + ts[:, None] * d[None, :]
-        u_ray = None
-        if pdef.energy_batch is not None:
-            try:
-                u_ray = np.asarray(pdef.energy_batch(pts), dtype=float)
-            except ChipError:
-                u_ray = None  # some point hit a conductor; fall back pointwise
-        if u_ray is None:
-            u_ray = np.empty(n_samples)
-            for k in range(n_samples):
-                try:
-                    u_ray[k] = pdef.energy(pts[k])
-                except ChipError:
-                    u_ray[k] = np.inf
+        u_ray = np.asarray(energy_batch(pts), dtype=float)
         barrier = float(np.max(u_ray) - u0)
         if barrier < depth:
             depth = barrier

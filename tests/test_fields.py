@@ -4,12 +4,14 @@ import pytest
 from atomchip.constants import GAUSS, MU_0
 from atomchip.errors import FieldDomainError
 from atomchip.fields import (
-    ABS_FD_TOL, REL_FD_TOL, BiotSavartModel, GridSpec, field_at, field_jacobian,
-    field_map, field_map_csv_rows, sample_with_jacobian,
+    ABS_FD_TOL, REL_FD_TOL, BiotSavartModel, GridSpec, _segment_field, field_at,
+    field_jacobian, field_map, field_map_csv_rows, sample_with_jacobian,
 )
 from atomchip.geometry import (
-    ChipLayout, CurrentConfig, WireSegmentPath, central_section_only,
+    ChipLayout, ConductorFrames, CurrentConfig, WireSegmentPath, central_section_only,
 )
+from atomchip.reproduction import roughness_test_wire
+from atomchip.roughness import perturb_wire
 
 
 def test_zero_currents_zero_bias(thin_model):
@@ -138,6 +140,92 @@ def test_point_inside_conductor_rejected(paper_model, paper):
     _, currents, _ = paper
     with pytest.raises(FieldDomainError, match="z2"):
         field_at(paper_model, currents, (-42.5e-6, -1.5e-6, 0.0))
+
+
+def _wire_containing_loop(layout, p, pad):
+    """Reference conductor test: one point, one segment at a time."""
+    for wire in layout.wires:
+        pts = wire.points
+        d = np.diff(pts, axis=0)
+        normals = np.cross(np.broadcast_to(np.array([0.0, 1.0, 0.0]), d.shape), d)
+        normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+        hw = wire.width / 2.0 + pad
+        ht = wire.thickness / 2.0 + pad
+        for k in range(len(pts) - 1):
+            a, b = pts[k], pts[k + 1]
+            t_hat = (b - a) / np.linalg.norm(b - a)
+            w = p - a
+            s = np.clip(np.dot(w, t_hat), 0.0, np.linalg.norm(b - a))
+            r = w - s * t_hat
+            if abs(np.dot(w, t_hat) - s) > pad:
+                continue
+            if abs(np.dot(r, normals[k])) <= hw and abs(r[1]) <= ht:
+                return wire.name
+    return None
+
+
+def _cloud_around_segments(layout, pad, rng, n_random=120):
+    """Points around every centerline segment: seeded ones across and past
+    each box and its ends (so bends too), plus the exact faces at +-pad."""
+    points = []
+    for wire in layout.wires:
+        pts = wire.points
+        hw, ht = wire.width / 2.0 + pad, wire.thickness / 2.0 + pad
+        for a, b in zip(pts[:-1], pts[1:]):
+            length = np.linalg.norm(b - a)
+            t_hat = (b - a) / length
+            n_hat = np.cross([0.0, 1.0, 0.0], t_hat)
+            n_hat /= np.linalg.norm(n_hat)
+            near_end = rng.choice([0.0, length], n_random) + rng.uniform(-1.5, 1.5, n_random) * hw
+            along = np.concatenate([rng.uniform(0.0, length, n_random), near_end,
+                                    [-pad, 0.0, length, length + pad]])
+            across = np.concatenate([rng.uniform(-1.3, 1.3, 2 * n_random) * hw, [-hw, hw, 0.0, hw]])
+            up = np.concatenate([rng.uniform(-1.5, 1.5, 2 * n_random) * ht, [ht, -ht, 0.0, ht]])
+            points.append(a + along[:, None] * t_hat + across[:, None] * n_hat
+                          + up[:, None] * np.array([0.0, 1.0, 0.0]))
+            edges = np.array(np.meshgrid([-pad, length + pad], [-hw, hw], [-ht, ht])).reshape(3, -1)
+            points.append(a + edges[0][:, None] * t_hat + edges[1][:, None] * n_hat
+                          + edges[2][:, None] * np.array([0.0, 1.0, 0.0]))
+    return np.concatenate(points)
+
+
+@pytest.mark.parametrize("pad", [0.0, 1e-9, 0.5e-6])
+def test_vectorized_conductor_test_matches_pointwise_loop(paper, paper_model, pad):
+    layout, _, _ = paper
+    rng = np.random.default_rng(7)
+    points = _cloud_around_segments(layout, pad, rng)
+    expected = [_wire_containing_loop(layout, p, pad) for p in points]
+    names = [w.name for w in layout.wires] + [None]  # index -1 -> None
+    got = [names[k] for k in ConductorFrames(layout.wires).first_containing(points, pad)]
+    assert sum(e is not None for e in expected) > len(points) // 4  # both sides sampled
+    assert [k for k in range(len(points)) if got[k] != expected[k]] == []
+    # the model skips points above the top face + pad before the exact test,
+    # so a point that rounds to just above that plane reads outside
+    top = max(w.points[:, 1].max() + w.thickness / 2.0 for w in layout.wires)
+    suspect = points[:, 1] <= top + pad
+    via_model = [names[k] for k in paper_model.conductor_index(points, pad)]
+    assert via_model == [e if near else None for e, near in zip(expected, suspect)]
+
+
+def test_domain_error_names_first_point_and_its_wire(paper_model, paper):
+    _, currents, _ = paper
+    points = np.array([[0.0, 100e-6, 0.0],          # above the chip
+                       [42.5e-6, -1.0e-6, 10e-6],   # inside z3
+                       [-42.5e-6, -1.5e-6, 0.0]])   # inside z2
+    with pytest.raises(FieldDomainError,
+                       match=r"point \(42\.500, -1\.000, 10\.000\) um lies inside wire 'z3'"):
+        paper_model.field(currents, points)
+
+
+def test_kernel_blocks_match_one_unchunked_call():
+    # 28,800 segments: the kernel splits these 20 points into blocks of 9
+    model = BiotSavartModel(ChipLayout(wires=(perturb_wire(roughness_test_wire(), None),)))
+    starts, ends, weights = model._channels["w"]
+    assert len(starts) == 28800
+    points = np.column_stack([np.linspace(-30e-6, 30e-6, 20), np.full(20, 150e-6),
+                              np.linspace(-1e-3, 1e-3, 20)])
+    blocked = model.channel_unit_field("w", points)
+    assert blocked.tobytes() == _segment_field(points, starts, ends, weights).tobytes()
 
 
 def test_div_curl_residuals_small_grid(thin_model):

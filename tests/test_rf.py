@@ -270,3 +270,29 @@ def test_scan_csv_rows(splitting):
     rows = result.rows()
     assert rows[0] == "rf_amplitude_A,n_minima,separation_um,barrier_kHz,asymmetry_kHz"
     assert rows[1].startswith("0.015,2,")
+
+
+def test_scan_matches_slice_by_slice_loop(splitting):
+    # the scan evaluates each slice's fields once; a slice-by-slice loop over
+    # the public API must give the same reports, refined slices included
+    model, currents, species, drive = splitting
+    amps = [0.0, 0.002, 0.01, 0.02, 0.03]
+    seed, n_samples, halfwidth = (0, 110e-6, 0), 58, 12e-6
+    result = split_scan(model, currents, species, drive, amps, seed_point=seed,
+                        halfwidth=halfwidth, n_samples=n_samples)
+
+    center = find_trap_minimum(magnetic_potential(model, currents, species), seed).minimum
+    expected, refined = [], 0
+    for a in amps:
+        n = n_samples
+        while True:
+            s, u = dressed_potential_line(model, currents, species, drive.scaled(a / 0.010),
+                                          center, (1.0, 0.0, 0.0), halfwidth, n)
+            try:
+                expected.append(characterize_double_well(s, u, slice_axis=(1.0, 0.0, 0.0)))
+                break
+            except ValueError:
+                refined += 1
+                n = 4 * n - 3
+    assert 0 < refined < len(amps)
+    assert repr(result.reports) == repr(tuple(expected))
