@@ -28,6 +28,12 @@ DEFAULT_HISTOGRAM_BIN_DEG = 15.0
 MIN_PERIODS_IN_FWHM = 3.0
 _FIT_XTOL = 1e-10
 _FIT_MAX_ITER = 200
+# Every start first runs for at most _FIT_PROBE_NFEV evaluations.  A start
+# still running then whose cost is above _FIT_HOPELESS_RATIO times the best
+# finished start's is dropped; any other unfinished start is rerun from its
+# initial values with the full budget, which retraces the same path.
+_FIT_PROBE_NFEV = 100
+_FIT_HOPELESS_RATIO = 10.0
 
 
 def wrap_phase(phi):
@@ -188,7 +194,13 @@ def fit_modulated_gaussian(x, n, min_periods: float = MIN_PERIODS_IN_FWHM) -> Fr
     Requires a near-uniform grid and at least ``min_periods`` fringe periods
     inside the envelope FWHM.  Runs four phase-offset starts (0/90/180/270
     degrees) and keeps the lowest-cost solution; convergence at relative
-    step < 1e-10 or 200 iterations.
+    step < 1e-10 or 200 iterations.  A start that has not converged after
+    100 evaluations and costs over ten times the best converged start is
+    dropped: cost never rises along a path, and such starts (the anti-phase
+    start drifting towards contrast 0) end far above the best.  Rarely a
+    dropped start would have crawled to the same minimum as a kept one and
+    won by a rounding-level cost difference; the result then differs from
+    a full run of every start in its last digits only.
     """
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -231,15 +243,24 @@ def fit_modulated_gaussian(x, n, min_periods: float = MIN_PERIODS_IN_FWHM) -> Fr
         J[:, 5] = -g * al * sn
         return J
 
+    def solve(theta0, max_nfev):
+        return least_squares(residual, theta0, jac=jacobian, bounds=(lower, upper),
+                             method="trf", xtol=_FIT_XTOL, ftol=1e-14, gtol=1e-14,
+                             max_nfev=max_nfev)
+
+    starts = [np.clip(np.array([amp, x0, sigma, alpha, period, wrap_phase(phase + dphi)]),
+                      lower, upper)
+              for dphi in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)]
+    probes = [solve(theta0, _FIT_PROBE_NFEV) for theta0 in starts]
+    total_nfev = sum(res.nfev for res in probes)
+    floor = min((res.cost for res in probes if res.status != 0), default=np.inf)
     best = None
-    total_nfev = 0
-    for dphi in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi):
-        theta0 = np.array([amp, x0, sigma, alpha, period, wrap_phase(phase + dphi)])
-        theta0 = np.clip(theta0, lower, upper)
-        res = least_squares(residual, theta0, jac=jacobian, bounds=(lower, upper),
-                            method="trf", xtol=_FIT_XTOL, ftol=1e-14, gtol=1e-14,
-                            max_nfev=_FIT_MAX_ITER * 7)
-        total_nfev += res.nfev
+    for theta0, res in zip(starts, probes):
+        if res.status == 0:  # evaluation budget spent, not converged
+            if res.cost > _FIT_HOPELESS_RATIO * floor:
+                continue
+            res = solve(theta0, _FIT_MAX_ITER * 7)
+            total_nfev += res.nfev
         if best is None or res.cost < best.cost:
             best = res
     assert best is not None

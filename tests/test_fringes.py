@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from atomchip.constants import PLANCK
+from atomchip import fringes
 from atomchip.errors import ConfigError, FitError
 from atomchip.fringes import (
     FringeModel, GaussianEnvelope, end_to_end_shot, fit_modulated_gaussian,
@@ -120,6 +123,25 @@ def test_nonuniform_grid_rejected(model, grid):
     bad[5] += 3e-8
     with pytest.raises(FitError, match="uniform"):
         fit_modulated_gaussian(bad, n)
+
+
+def test_dropped_starts_leave_the_fit_unchanged(monkeypatch):
+    # c8 shots 3-6 at 5% noise: in 4, 5 and 6 the anti-phase start runs to the
+    # evaluation cap at ~60x the best cost; dropping it after the probe must
+    # give the fit every start would give with its full budget
+    x = np.linspace(-80e-6, 80e-6, 641)
+    env = GaussianEnvelope(center=2e-6, sigma=25e-6, amplitude=3.0)
+    m = FringeModel(envelope=env, contrast=0.6, period=16e-6, phase=np.radians(37.0))
+    shots = [synthesize_fringes(m, x, noise=0.05, rng=np.random.default_rng(5000 + k))
+             for k in range(3, 7)]
+    probed = [fit_modulated_gaussian(x, n) for n in shots]
+    monkeypatch.setattr(fringes, "_FIT_PROBE_NFEV", fringes._FIT_MAX_ITER * 7)
+    monkeypatch.setattr(fringes, "_FIT_HOPELESS_RATIO", np.inf)
+    full = [fit_modulated_gaussian(x, n) for n in shots]
+    for p, f in zip(probed, full):
+        assert dataclasses.replace(p, n_evaluations=0) == dataclasses.replace(f, n_evaluations=0)
+    saved = [f.n_evaluations - p.n_evaluations for p, f in zip(probed, full)]
+    assert saved[0] == 0 and min(saved[1:]) > 1000
 
 
 def test_phase_equivariance(model, grid):
