@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import DEG, GAUSS, NM, PLANCK, UM
+from .constants import DEG, GAUSS, NM, UM
 from .errors import ChipError, ConfigError, ThermalRunawayError
 from .fields import BiotSavartModel, GridSpec, field_map, field_map_csv_rows
 from .fringes import fit_modulated_gaussian, phase_statistics
@@ -27,7 +27,8 @@ from .rf import RfDriveState, split_scan
 from .roughness import (
     RandomDeviation, SinusoidDeviation, TriangleDeviation,
     contact_interaction_constant, invert_density_boltzmann,
-    invert_density_thomas_fermi, remove_harmonic_background, roughness_field,
+    invert_density_thomas_fermi, profile_csv_rows, remove_harmonic_background,
+    roughness_field,
 )
 from .thermal import (
     paper_calibrated_network, paper_wire, resistance_monitor, steady_temperature,
@@ -279,10 +280,8 @@ def _cmd_invert_density(ns) -> int:
         omega_line = (f" (removed harmonic background: "
                       f"f_z = {fit.omega_z / (2 * np.pi):.6g} Hz)")
 
-    rows = ["z_um,dBz_mG,dV_h_kHz,ratio"]
-    for zz, db, dvv in zip(z_out, dbz, dv):
-        ratio = db / main_field if main_field else float("nan")
-        rows.append(f"{zz / UM:.9g},{db * 1e7:.9g},{dvv / PLANCK / 1e3:.9g},{ratio:.9g}")
+    ratio = dbz / main_field if main_field else np.full(len(dbz), np.nan)
+    rows = profile_csv_rows(z_out / UM, dbz, dv, ratio)
     manifest = RunManifest.create(
         "invert-density", config=ns.input,
         overrides={"method": ns.method, "temperature_uK": ns.temperature_uk,

@@ -44,6 +44,7 @@ ABS_FD_TOL = 1e-6  # T/m
 _CHUNK = 1024
 _KERNEL_POINT_SEGMENTS = 2**18  # points x segments per kernel or conductor-test call
 _DOMAIN_PAD = 1e-9  # m, default padding of the conductor test
+_ROUNDING_SLACK = 1e-12  # m, margin of the conductor test's height prefilter
 _ONLINE_EPS = 1e-24  # (rho/L)^2 threshold: point on a segment's line contributes 0
 
 
@@ -139,11 +140,13 @@ class BiotSavartModel:
         self.layout = layout
         self.n_width = n_width
         self.n_thickness = n_thickness
-        # points strictly above every conductor need no per-wire inside test
+        # points above every conductor need no per-wire inside test; the cut
+        # sits _ROUNDING_SLACK higher so that a point the exact test's
+        # arithmetic puts inside is never cut off by rounding of its own
         self._y_clearance = max(
             (w.points[:, 1].max() + w.thickness / 2.0 for w in layout.wires),
             default=0.0,
-        )
+        ) + _ROUNDING_SLACK
         self._frames = ConductorFrames(layout.wires)
         self._channels: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._directions: dict[str, np.ndarray] = {}

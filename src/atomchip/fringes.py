@@ -3,9 +3,11 @@
 The released double well produces a far-field pattern
 n(x) = g(x) (1 + alpha cos(2 pi x / Lambda + phi)) with period
 Lambda = h t / (m d) for well separation d and flight time t.  The fit is
-damped least squares with an analytic Jacobian, spectrum-based initial
-values and a four-way phase multistart to dodge the phase/contrast local
-minimum.  Ensemble phases are summarized with circular statistics.
+one variable-projection least-squares solve (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 413 (1973)) over envelope center, width and period,
+started from envelope moments and the spectrum peak; contrast and phase
+follow in closed form.  Ensemble phases are summarized with circular
+statistics.
 
 Note: the experiment's flight time is unpublished; 14 ms is this package's
 documented default and every period-dependent number scales with it.
@@ -27,13 +29,7 @@ DEFAULT_TOF = 14e-3  # s, NOT from the experiment (unpublished); documented defa
 DEFAULT_HISTOGRAM_BIN_DEG = 15.0
 MIN_PERIODS_IN_FWHM = 3.0
 _FIT_XTOL = 1e-10
-_FIT_MAX_ITER = 200
-# Every start first runs for at most _FIT_PROBE_NFEV evaluations.  A start
-# still running then whose cost is above _FIT_HOPELESS_RATIO times the best
-# finished start's is dropped; any other unfinished start is rerun from its
-# initial values with the full budget, which retraces the same path.
-_FIT_PROBE_NFEV = 100
-_FIT_HOPELESS_RATIO = 10.0
+_FIT_MAX_NFEV = 1400
 
 
 def wrap_phase(phi):
@@ -129,6 +125,10 @@ def synthesize_fringes(model: FringeModel, x, noise: float = 0.0,
 
 @dataclass(frozen=True)
 class FringeFitResult:
+    """The covariance assumes uniform noise: under the 5% multiplicative
+    noise of the c8 acceptance profile the phase scatters ~1.5x its
+    covariance sigma (0.0079 against 0.0051 rad over 200 shots)."""
+
     envelope: GaussianEnvelope
     contrast: float
     period: float
@@ -145,7 +145,8 @@ class FringeFitResult:
 
 
 def _initial_guess(x: np.ndarray, n: np.ndarray):
-    """Envelope moments plus fringe period/phase from the spectrum peak."""
+    """Envelope center and width from moments, fringe period from the
+    spectrum peak of the envelope-normalized profile."""
     w = np.clip(n, 0.0, None)
     total = w.sum()
     if total <= 0.0:
@@ -179,28 +180,27 @@ def _initial_guess(x: np.ndarray, n: np.ndarray):
     period = 1.0 / freqs[k]
 
     corr = np.sum(m[valid] * np.exp(-2j * np.pi * x[valid] / period))
-    phase = float(np.angle(corr))
-    alpha_raw = 2.0 * np.abs(corr) / max(valid.sum(), 1)
-    if alpha_raw < 0.02:
+    if 2.0 * np.abs(corr) / max(valid.sum(), 1) < 0.02:
         # smooth envelope mismatch, not modulation: no usable fringe
         raise FitError("degenerate spectrum: no fringe peak (contrast ~ 0?)")
-    alpha = float(np.clip(alpha_raw, 0.02, 0.98))
-    return amp, x0, sigma, alpha, period, phase
+    return x0, sigma, period
 
 
 def fit_modulated_gaussian(x, n, min_periods: float = MIN_PERIODS_IN_FWHM) -> FringeFitResult:
-    """Nonlinear least-squares fit of g(x)(1 + alpha cos(2 pi x/Lambda + phi)).
+    """Least-squares fit of g(x)(1 + alpha cos(2 pi x/Lambda + phi)).
 
     Requires a near-uniform grid and at least ``min_periods`` fringe periods
-    inside the envelope FWHM.  Runs four phase-offset starts (0/90/180/270
-    degrees) and keeps the lowest-cost solution; convergence at relative
-    step < 1e-10 or 200 iterations.  A start that has not converged after
-    100 evaluations and costs over ten times the best converged start is
-    dropped: cost never rises along a path, and such starts (the anti-phase
-    start drifting towards contrast 0) end far above the best.  Rarely a
-    dropped start would have crawled to the same minimum as a kept one and
-    won by a rounding-level cost difference; the result then differs from
-    a full run of every start in its last digits only.
+    inside the envelope FWHM.  With g = A ghat and u = 2 pi x/Lambda the
+    model is A ghat + C ghat cos u + S ghat sin u, linear in (A, C, S), so
+    one bounded trust-region solve runs over (x0, sigma, Lambda) alone
+    (variable projection): each step takes (A, C, S) from a linear solve
+    on that basis, and the Jacobian is the basis derivative times the
+    coefficients projected off the basis range (Kaufman's form).  Then
+    alpha = sqrt(C^2 + S^2)/A and phi = atan2(-S, C); with no phase or
+    contrast parameter there is no phase/contrast local minimum to start
+    around.  Convergence at relative step < 1e-10 or 1400 evaluations.  An
+    over-modulated profile (alpha > 1) reports contrast 1 and sets
+    ``contrast_pinned``.
     """
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -210,7 +210,7 @@ def fit_modulated_gaussian(x, n, min_periods: float = MIN_PERIODS_IN_FWHM) -> Fr
     if not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
         raise FitError("fit requires a uniform grid")
 
-    amp, x0, sigma, alpha, period, phase = _initial_guess(x, n)
+    x0, sigma, period = _initial_guess(x, n)
     fwhm = 2.0 * np.sqrt(2.0 * np.log(2.0)) * sigma
     if fwhm / period < min_periods:
         raise FitError(
@@ -220,66 +220,59 @@ def fit_modulated_gaussian(x, n, min_periods: float = MIN_PERIODS_IN_FWHM) -> Fr
 
     span = float(x[-1] - x[0])
     dx = float(steps[0])
-    lower = [0.0, x[0] - span, dx / 2.0, 0.0, 4.0 * dx, -2.0 * np.pi]
-    upper = [np.inf, x[-1] + span, 2.0 * span, 1.0, 2.0 * span, 2.0 * np.pi]
+    lower = [x[0] - span, dx / 2.0, 4.0 * dx]
+    upper = [x[-1] + span, 2.0 * span, 2.0 * span]
 
-    def residual(theta):
-        a, mu, s, al, lam, ph = theta
-        g = a * np.exp(-0.5 * ((x - mu) / s) ** 2)
-        return g * (1.0 + al * np.cos(2.0 * np.pi * x / lam + ph)) - n
-
-    def jacobian(theta):
-        a, mu, s, al, lam, ph = theta
-        g = a * np.exp(-0.5 * ((x - mu) / s) ** 2)
-        u = 2.0 * np.pi * x / lam + ph
+    def basis(p):
+        """ghat, cos u, sin u and the basis matrix [ghat, ghat cos u, ghat sin u]."""
+        mu, s, lam = p
+        g = np.exp(-0.5 * ((x - mu) / s) ** 2)
+        u = 2.0 * np.pi * x / lam
         c, sn = np.cos(u), np.sin(u)
-        mod = 1.0 + al * c
-        J = np.empty((len(x), 6))
-        J[:, 0] = g / a * mod
-        J[:, 1] = g * (x - mu) / s**2 * mod
-        J[:, 2] = g * (x - mu) ** 2 / s**3 * mod
-        J[:, 3] = g * c
-        J[:, 4] = g * al * sn * 2.0 * np.pi * x / lam**2
-        J[:, 5] = -g * al * sn
-        return J
+        return g, c, sn, np.column_stack((g, g * c, g * sn))
 
-    def solve(theta0, max_nfev):
-        return least_squares(residual, theta0, jac=jacobian, bounds=(lower, upper),
-                             method="trf", xtol=_FIT_XTOL, ftol=1e-14, gtol=1e-14,
-                             max_nfev=max_nfev)
+    def coefficients(phi):
+        return np.linalg.lstsq(phi, n, rcond=None)[0]  # (A, C, S)
 
-    starts = [np.clip(np.array([amp, x0, sigma, alpha, period, wrap_phase(phase + dphi)]),
-                      lower, upper)
-              for dphi in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)]
-    probes = [solve(theta0, _FIT_PROBE_NFEV) for theta0 in starts]
-    total_nfev = sum(res.nfev for res in probes)
-    floor = min((res.cost for res in probes if res.status != 0), default=np.inf)
-    best = None
-    for theta0, res in zip(starts, probes):
-        if res.status == 0:  # evaluation budget spent, not converged
-            if res.cost > _FIT_HOPELESS_RATIO * floor:
-                continue
-            res = solve(theta0, _FIT_MAX_ITER * 7)
-            total_nfev += res.nfev
-        if best is None or res.cost < best.cost:
-            best = res
-    assert best is not None
+    def residual(p):
+        phi = basis(p)[3]
+        return phi @ coefficients(phi) - n
 
-    a, mu, s, al, lam, ph = best.x
-    dof = max(len(x) - 6, 1)
-    s2 = 2.0 * best.cost / dof
-    J = jacobian(best.x)
-    cov = s2 * np.linalg.pinv(J.T @ J)
+    def projected_jacobian(p):
+        mu, s, lam = p
+        g, c, sn, phi = basis(p)
+        a, cc, ss = coefficients(phi)
+        h = g * (a + cc * c + ss * sn)
+        d = np.column_stack((h * (x - mu) / s**2, h * (x - mu) ** 2 / s**3,
+                             g * (cc * sn - ss * c) * 2.0 * np.pi * x / lam**2))
+        q = np.linalg.qr(phi)[0]
+        return d - q @ (q.T @ d)
+
+    best = least_squares(residual, np.clip([x0, sigma, period], lower, upper),
+                         jac=projected_jacobian, bounds=(lower, upper), method="trf",
+                         xtol=_FIT_XTOL, ftol=1e-14, gtol=1e-14, max_nfev=_FIT_MAX_NFEV)
+    mu, s, lam = best.x
+    a, cc, ss = coefficients(basis(best.x)[3])
+    al = float(np.hypot(cc, ss) / a)
+    ph = float(np.arctan2(-ss, cc))
+
+    # covariance from the Jacobian in (A, x0, sigma, alpha, Lambda, phi)
+    g = a * np.exp(-0.5 * ((x - mu) / s) ** 2)
+    u = 2.0 * np.pi * x / lam + ph
+    gm, gs = g * (1.0 + al * np.cos(u)), g * al * np.sin(u)
+    J = np.column_stack((gm / a, gm * (x - mu) / s**2, gm * (x - mu) ** 2 / s**3,
+                         g * np.cos(u), gs * 2.0 * np.pi * x / lam**2, -gs))
+    cov = 2.0 * best.cost / max(len(x) - 6, 1) * np.linalg.pinv(J.T @ J)
     return FringeFitResult(
         envelope=GaussianEnvelope(center=float(mu), sigma=float(s), amplitude=float(a)),
-        contrast=float(al),
+        contrast=min(al, 1.0),
         period=float(lam),
         phase=wrap_phase(ph),
         covariance=tuple(tuple(float(v) for v in row) for row in cov),
         residual_norm=float(np.sqrt(2.0 * best.cost)),
         converged=bool(best.status > 0),
         contrast_pinned=bool(al <= 1e-9 or al >= 1.0 - 1e-9),
-        n_evaluations=total_nfev,
+        n_evaluations=int(best.nfev),
     )
 
 

@@ -137,12 +137,16 @@ class RoughnessProfile:
 
     def rows(self) -> list[str]:
         """CSV rows: z_um,dBz_mG,dV_h_kHz,ratio."""
-        out = ["z_um,dBz_mG,dV_h_kHz,ratio"]
-        for z, db, dv, r in zip(self.z, self.delta_Bz, self.delta_V, self.ratio_to_main):
-            out.append(
-                f"{z * 1e6:.9g},{db * 1e7:.9g},{dv / PLANCK / 1e3:.9g},{r:.9g}"
-            )
-        return out
+        return profile_csv_rows(np.asarray(self.z) * 1e6, self.delta_Bz, self.delta_V,
+                                self.ratio_to_main)
+
+
+def profile_csv_rows(z_um, delta_Bz, delta_V, ratio) -> list[str]:
+    """CSV rows z_um,dBz_mG,dV_h_kHz,ratio from z in um, dB_z in T and dV in J."""
+    out = ["z_um,dBz_mG,dV_h_kHz,ratio"]
+    for z, db, dv, r in zip(z_um, delta_Bz, delta_V, ratio):
+        out.append(f"{z:.9g},{db * 1e7:.9g},{dv / PLANCK / 1e3:.9g},{r:.9g}")
+    return out
 
 
 def roughness_field(wire: WireSegmentPath, deviation, current: float, height: float,
