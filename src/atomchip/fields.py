@@ -6,19 +6,29 @@ a finite straight current.  Evaluation is linear in every channel current,
 and per-point summation order is fixed (wires in layout order, filaments in
 tiling order, segments along the path) so results are reproducible bit for
 bit regardless of how map evaluations are distributed over workers.
+
+The kernel's roundings are fixed too, whatever the number of points or the
+block sizes:
+
+* a channel's field at a point is the sum of its segment terms taken one
+  after another in segment order, starting from 0: ``((0 + t0) + t1) + ...``;
+* the squared norms |a|^2 of the vectors from the segment ends to the point
+  add as ``(x*x + y*y) + z*z``;
+* the dot products d.a and the squared norm |a1 x d|^2 add as
+  ``(x*x' + z*z') + y*y'``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FieldDomainError
-from .geometry import (
-    ChipLayout, ConductorFrames, CurrentConfig, discretize_wire, wire_containing,
-)
+from .geometry import ChipLayout, ConductorFrames, CurrentConfig, discretize_wire
+from .geometry import wire_containing  # noqa: F401  (bench/tracing.py spans it here)
 
 DEFAULT_N_WIDTH = 8
 DEFAULT_N_THICKNESS = 3
@@ -38,11 +48,17 @@ DEFAULT_JACOBIAN_STEP = 0.5e-6  # m
 REL_FD_TOL = 2e-4
 ABS_FD_TOL = 1e-6  # T/m
 
-# Points per field_map work item and per conductor-test piece.  Per-point
-# arithmetic does not depend on how points are chunked, so results do not
-# either; the chunk only bounds memory and is the unit handed to workers.
+# Points per field_map work item.  Per-point arithmetic does not depend on
+# how points are chunked, so results do not either; the chunk only bounds
+# memory and is the unit handed to workers.
 _CHUNK = 1024
-_KERNEL_POINT_SEGMENTS = 2**18  # points x segments per kernel or conductor-test call
+_SEGMENT_BLOCK = 256  # segments per kernel block
+# points x segments per kernel block or conductor-test piece; a kernel block
+# holds ~28 doubles per point-segment, 1.8 MB at this size, which fits a 2 MB
+# L2 cache (at 2**14 a 1201-point slice of the builtin chip took ~1.5x longer)
+_KERNEL_POINT_SEGMENTS = 2**13
+# point coordinates in the kernel's layout, see _SegmentTable.ends_starts
+_AXES = np.array([0, 1, 2, 0, 1, 0, 1, 2, 0, 1])
 _DOMAIN_PAD = 1e-9  # m, default padding of the conductor test
 _ROUNDING_SLACK = 1e-12  # m, margin of the conductor test's height prefilter
 _ONLINE_EPS = 1e-24  # (rho/L)^2 threshold: point on a segment's line contributes 0
@@ -86,50 +102,93 @@ class FieldSample:
         )
 
 
-def _segment_directions(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Per segment, its vector divided by its squared length, (S,3)."""
-    seg = ends - starts
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    return seg / seg_len2[:, None]
+class _SegmentTable(NamedTuple):
+    """One channel's segments, laid out for the kernel: one row per
+    coordinate, one column per segment."""
+
+    ends_starts: np.ndarray  # (2, 5, S): each end, then each start, as (x, y, z, x, y)
+    d_xzy: np.ndarray  # (3, S): segment vector / squared length, as (x, z, y)
+    d_zxy: np.ndarray  # (3, S): the same as (z, x, y)
+    d_yzx: np.ndarray  # (3, S): the same as (y, z, x)
+    scale: np.ndarray  # (S, 1): 1e-7 * current fraction; 1e-7 == mu_0 / 4 pi
+
+    @classmethod
+    def build(cls, starts: np.ndarray, ends: np.ndarray,
+              weights: np.ndarray) -> "_SegmentTable":
+        seg = ends - starts
+        d = (seg / np.einsum("ij,ij->i", seg, seg)[:, None]).T
+        return cls(
+            ends_starts=np.ascontiguousarray(
+                np.concatenate([ends, ends[:, :2], starts, starts[:, :2]], axis=1).T
+            ).reshape(2, 5, -1),
+            d_xzy=d[[0, 2, 1]], d_zxy=d[[2, 0, 1]], d_yzx=d[[1, 2, 0]],
+            scale=(1e-7 * weights)[:, None],
+        )
 
 
-def _segment_field(points: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                   weights: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+def _segment_field(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
     """Biot-Savart field of weighted straight segments at unit current.
 
     Closed-form finite-segment expression; (N,3) result for (N,3) points.
-    ``d`` is ``_segment_directions(starts, ends)``, passed by callers that
-    evaluate the same segments many times.
+    Takes the points in pieces of at most _KERNEL_POINT_SEGMENTS // block
+    points (see _piece_field).
     """
-    if d is None:
-        d = _segment_directions(starts, ends)
-    a1 = points[:, None, :] - starts[None, :, :]
-    a2 = points[:, None, :] - ends[None, :, :]
-    # a1 x d, written out: the same products and differences as np.cross,
-    # without its per-call overhead, straight into one C-ordered array
-    f = np.empty_like(a1)
-    np.subtract(a1[..., 1] * d[:, 2], a1[..., 2] * d[:, 1], out=f[..., 0])
-    np.subtract(a1[..., 2] * d[:, 0], a1[..., 0] * d[:, 2], out=f[..., 1])
-    np.subtract(a1[..., 0] * d[:, 1], a1[..., 1] * d[:, 0], out=f[..., 2])
-    # the arithmetic of np.linalg.norm(a, axis=2), without its checks
-    n1 = np.sqrt(np.add.reduce(a1 * a1, axis=2))
-    n2 = np.sqrt(np.add.reduce(a2 * a2, axis=2))
-    sine = np.einsum("sj,nsj->ns", d, a2) / n2 - np.einsum("sj,nsj->ns", d, a1) / n1
-    s2 = np.einsum("nsj,nsj->ns", f, f)
-    online = s2 < _ONLINE_EPS
-    any_online = online.any()
-    if any_online:
-        s2 = np.where(online, 1.0, s2)
-    coeff = 1e-7 * weights[None, :] * sine / s2  # 1e-7 == mu_0 / 4 pi
-    if any_online:
-        coeff = np.where(online, 0.0, coeff)
-    return np.einsum("ns,nsj->nj", coeff, f)
+    rows = max(1, _KERNEL_POINT_SEGMENTS // min(_SEGMENT_BLOCK, len(table.scale)))
+    out = np.empty((len(points), 3))
+    for lo in range(0, len(points), rows):
+        out[lo:lo + rows] = _piece_field(points[lo:lo + rows], table).T
+    return out
 
 
-def _rows_per_call(n_segments: int) -> int:
-    """Points per (points x segments) array: at most _CHUNK, and few enough
-    that the array stays under _KERNEL_POINT_SEGMENTS elements."""
-    return max(1, min(_CHUNK, _KERNEL_POINT_SEGMENTS // max(n_segments, 1)))
+def _piece_field(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
+    """(3, N) field of ``table``'s segments at ``points``, _segment_field's
+    arithmetic on blocks of _SEGMENT_BLOCK segments at a time, each quantity
+    one contiguous (segments x points) plane; each block's terms are added to
+    a running per-point sum in segment order (module docstring)."""
+    n_seg = len(table.scale)
+    block = min(_SEGMENT_BLOCK, n_seg)
+    p = points[:, _AXES].T.reshape(2, 5, 1, -1)
+    n = p.shape[-1]
+    a_buf = np.empty((2, 5, block, n))
+    r_buf = np.empty((4, 3, block, n))
+    f_buf = np.empty((3, block, n))
+    terms = np.empty((block + 1, 3, n))  # running sum, then one row per segment
+    terms[0] = 0.0
+    for lo in range(0, n_seg, block):
+        hi = min(lo + block, n_seg)
+        b = hi - lo
+        # a2 = point - end, a1 = point - start, each as (x, y, z, x, y)
+        a = np.subtract(p, table.ends_starts[:, :, lo:hi, None], out=a_buf[:, :, :b])
+        # products: a2 * a2 and a1 * a1 as (x, y, z), a2 * d and a1 * d as (x, z, y)
+        r = r_buf[:, :, :b]
+        np.multiply(a[:, :3], a[:, :3], out=r[:2])
+        np.multiply(a[:, ::2], table.d_xzy[:, lo:hi, None], out=r[2:])
+        sums = np.add(r[:, 0], r[:, 1], out=r[:, 0])
+        sums += r[:, 2]  # |a2|^2, |a1|^2, d.a2, d.a1
+        np.sqrt(sums[:2], out=sums[:2])
+        sums[2:] /= sums[:2]
+        sine = np.subtract(sums[2], sums[3], out=sums[2])
+        # f = a1 x d
+        a1 = a[1]
+        f = np.multiply(a1[1:4], table.d_zxy[:, lo:hi, None], out=f_buf[:, :b])
+        f -= np.multiply(a1[2:5], table.d_yzx[:, lo:hi, None], out=r[0])
+        ff = np.multiply(f, f, out=r[0])
+        s2 = np.add(ff[0], ff[2], out=ff[0])
+        s2 += ff[1]
+        online = s2 < _ONLINE_EPS
+        any_online = np.count_nonzero(online) > 0
+        if any_online:
+            s2[online] = 1.0
+        coeff = np.multiply(table.scale[lo:hi], sine, out=sine)
+        coeff /= s2
+        if any_online:
+            coeff[online] = 0.0
+        np.multiply(coeff, f, out=terms[1:b + 1].transpose(1, 0, 2))
+        # numpy sums pairwise along a contiguous reduced axis (a segments
+        # axis of a single point would be one); reduced over its first
+        # axis, this (segments, 3, points) array is added row after row
+        terms[0] = np.add.reduce(terms[:b + 1], axis=0)
+    return terms[0]
 
 
 class BiotSavartModel:
@@ -148,8 +207,7 @@ class BiotSavartModel:
             default=0.0,
         ) + _ROUNDING_SLACK
         self._frames = ConductorFrames(layout.wires)
-        self._channels: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._directions: dict[str, np.ndarray] = {}
+        self._channels: dict[str, _SegmentTable] = {}
         for channel in layout.channels:
             starts, ends, weights = [], [], []
             for wire in layout.wires:
@@ -160,9 +218,8 @@ class BiotSavartModel:
                     starts.append(pts[:-1])
                     ends.append(pts[1:])
                     weights.append(np.full(len(pts) - 1, fil.fraction))
-            starts, ends = np.concatenate(starts), np.concatenate(ends)
-            self._channels[channel] = (starts, ends, np.concatenate(weights))
-            self._directions[channel] = _segment_directions(starts, ends)
+            self._channels[channel] = _SegmentTable.build(
+                np.concatenate(starts), np.concatenate(ends), np.concatenate(weights))
 
     @property
     def channels(self) -> tuple[str, ...]:
@@ -170,17 +227,8 @@ class BiotSavartModel:
 
     def channel_unit_field(self, channel: str, points: np.ndarray) -> np.ndarray:
         """Field of one channel per ampere at ``points`` (N,3) -> (N,3)."""
-        starts, ends, weights = self._channels[channel]
-        directions = self._directions[channel]
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        rows = _rows_per_call(len(starts))
-        if len(points) <= rows:
-            return _segment_field(points, starts, ends, weights, directions)
-        out = np.empty_like(points)
-        for lo in range(0, len(points), rows):
-            out[lo:lo + rows] = _segment_field(points[lo:lo + rows], starts, ends, weights,
-                                               directions)
-        return out
+        return _segment_field(points, self._channels[channel])
 
     def field(self, currents: CurrentConfig, points: np.ndarray,
               check_domain: bool = True) -> np.ndarray:
@@ -203,7 +251,7 @@ class BiotSavartModel:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         index = np.full(len(points), -1)
         suspect = (points[:, 1] <= self._y_clearance + pad).nonzero()[0]
-        rows = _rows_per_call(len(self._frames.start))
+        rows = max(1, _KERNEL_POINT_SEGMENTS // max(len(self._frames.start), 1))
         for lo in range(0, len(suspect), rows):
             piece = suspect[lo:lo + rows]
             index[piece] = self._frames.first_containing(points[piece], pad)
@@ -238,10 +286,11 @@ def field_jacobian(model: BiotSavartModel, currents: CurrentConfig, point,
     ``richardson`` a second pass at step/2 removes the leading h^2 error.
     """
     p = np.asarray(point, dtype=float)
-    name = wire_containing(model.layout, p, pad=step)
-    if name is not None:
+    index = model.conductor_index(p[None], pad=step)[0]
+    if index >= 0:
         raise FieldDomainError(
-            f"Jacobian point within one step ({step * 1e6:.2f} um) of wire {name!r}"
+            f"Jacobian point within one step ({step * 1e6:.2f} um) "
+            f"of wire {model.layout.wires[index].name!r}"
         )
 
     def jac(h: float) -> np.ndarray:

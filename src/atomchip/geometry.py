@@ -194,47 +194,48 @@ def _segment_horizontal_normals(pts: np.ndarray, name: str) -> np.ndarray:
     return n / lengths[:, None]
 
 
-def offset_polyline(wire: WireSegmentPath, horizontal: float, vertical: float) -> np.ndarray:
-    """Parallel-offset the centerline by (horizontal, vertical) with miter joins."""
+def _miters(wire: WireSegmentPath) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the unit miter direction of a parallel offset of the
+    centerline and its projection on the normal of the segment before it.
+
+    An offset by ``h`` moves each node by ``miter * (h / denom)``; the end
+    nodes move along their segment's normal (denom 1).
+    """
     pts = wire.points
     normals = _segment_horizontal_normals(pts, wire.name)
-    out = pts.copy()
-    n = len(pts)
-    for i in range(n):
-        if i == 0:
-            m, denom = normals[0], 1.0
-        elif i == n - 1:
-            m, denom = normals[-1], 1.0
-        else:
-            m = normals[i - 1] + normals[i]
-            length = np.linalg.norm(m)
-            if length < 1e-9:
-                raise GeometryError(f"wire {wire.name!r}: 180-degree bend cannot be offset")
-            m = m / length
-            denom = float(np.dot(m, normals[i - 1]))
-        out[i] = pts[i] + m * (horizontal / denom)
-    out[:, 1] += vertical
-    return out
+    miter = np.empty_like(pts)
+    denom = np.ones(len(pts))
+    miter[0], miter[-1] = normals[0], normals[-1]
+    for i in range(1, len(pts) - 1):
+        m = normals[i - 1] + normals[i]
+        length = np.linalg.norm(m)
+        if length < 1e-9:
+            raise GeometryError(f"wire {wire.name!r}: 180-degree bend cannot be offset")
+        miter[i] = m / length
+        denom[i] = np.dot(miter[i], normals[i - 1])
+    return miter, denom
 
 
 def discretize_wire(wire: WireSegmentPath, n_width: int, n_thickness: int) -> list[Filament]:
     """Tile the rectangular cross-section with n_width x n_thickness filaments.
 
     Filaments carry equal current fractions summing to 1 and parallel-offset
-    the centerline; a symmetric tiling keeps the centroid on the centerline.
+    the centerline with miter joins; a symmetric tiling keeps the centroid on
+    the centerline.
     """
     if n_width < 1 or n_thickness < 1:
         raise GeometryError("n_width and n_thickness must be >= 1")
     fraction = 1.0 / (n_width * n_thickness)
     h_offsets = ((np.arange(n_width) + 0.5) / n_width - 0.5) * wire.width
     v_offsets = ((np.arange(n_thickness) + 0.5) / n_thickness - 0.5) * wire.thickness
+    pts = wire.points
+    miter, denom = _miters(wire)
     filaments = []
     for v in v_offsets:
         for h in h_offsets:
-            pts = offset_polyline(wire, float(h), float(v))
-            filaments.append(
-                Filament(nodes=tuple(tuple(float(c) for c in p) for p in pts), fraction=fraction)
-            )
+            nodes = pts + miter * (h / denom)[:, None]
+            nodes[:, 1] += v
+            filaments.append(Filament(nodes=tuple(map(tuple, nodes.tolist())), fraction=fraction))
     return filaments
 
 

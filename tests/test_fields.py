@@ -1,17 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from atomchip.constants import GAUSS, MU_0
 from atomchip.errors import FieldDomainError
 from atomchip.fields import (
-    ABS_FD_TOL, REL_FD_TOL, BiotSavartModel, GridSpec, _segment_field, field_at,
-    field_jacobian, field_map, field_map_csv_rows, sample_with_jacobian,
+    ABS_FD_TOL, REL_FD_TOL, BiotSavartModel, GridSpec, _SegmentTable, _segment_field,
+    field_at, field_jacobian, field_map, field_map_csv_rows, sample_with_jacobian,
 )
 from atomchip.geometry import (
     ChipLayout, ConductorFrames, CurrentConfig, WireSegmentPath, central_section_only,
+    discretize_wire,
 )
 from atomchip.reproduction import roughness_test_wire
-from atomchip.roughness import perturb_wire
+from atomchip.roughness import RandomDeviation, perturb_wire
 
 
 def test_zero_currents_zero_bias(thin_model):
@@ -142,6 +145,15 @@ def test_point_inside_conductor_rejected(paper_model, paper):
         field_at(paper_model, currents, (-42.5e-6, -1.5e-6, 0.0))
 
 
+def test_jacobian_rejects_points_within_one_step_of_a_wire(paper_model, paper):
+    _, currents, _ = paper
+    # z2's top face is at y = 0; the default step is 0.5 um
+    with pytest.raises(FieldDomainError,
+                       match=r"Jacobian point within one step \(0\.50 um\) of wire 'z2'"):
+        field_jacobian(paper_model, currents, (-42.5e-6, 0.3e-6, 0.0))
+    assert np.all(np.isfinite(field_jacobian(paper_model, currents, (-42.5e-6, 0.6e-6, 0.0))))
+
+
 def _wire_containing_loop(layout, p, pad):
     """Reference conductor test: one point, one segment at a time."""
     for wire in layout.wires:
@@ -213,15 +225,108 @@ def test_domain_error_names_first_point_and_its_wire(paper_model, paper):
         paper_model.field(currents, points)
 
 
+def _einsum_segment_field(points, starts, ends, weights):
+    """Reference kernel: whole (points x segments x 3) arrays, einsum sums."""
+    seg = ends - starts
+    d = seg / np.einsum("ij,ij->i", seg, seg)[:, None]
+    a1 = points[:, None, :] - starts[None, :, :]
+    a2 = points[:, None, :] - ends[None, :, :]
+    f = np.empty_like(a1)
+    np.subtract(a1[..., 1] * d[:, 2], a1[..., 2] * d[:, 1], out=f[..., 0])
+    np.subtract(a1[..., 2] * d[:, 0], a1[..., 0] * d[:, 2], out=f[..., 1])
+    np.subtract(a1[..., 0] * d[:, 1], a1[..., 1] * d[:, 0], out=f[..., 2])
+    n1 = np.sqrt(np.add.reduce(a1 * a1, axis=2))
+    n2 = np.sqrt(np.add.reduce(a2 * a2, axis=2))
+    sine = np.einsum("sj,nsj->ns", d, a2) / n2 - np.einsum("sj,nsj->ns", d, a1) / n1
+    s2 = np.einsum("nsj,nsj->ns", f, f)
+    online = s2 < 1e-24
+    s2 = np.where(online, 1.0, s2)
+    coeff = np.where(online, 0.0, 1e-7 * weights[None, :] * sine / s2)
+    return np.einsum("ns,nsj->nj", coeff, f)
+
+
+def _channel_segments(layout, channel, n_width=8, n_thickness=3):
+    """(starts, ends, weights) of one channel, in the model's order."""
+    starts, ends, weights = [], [], []
+    for wire in layout.wires:
+        if wire.channel == channel:
+            for fil in discretize_wire(wire, n_width, n_thickness):
+                starts.append(fil.points[:-1])
+                ends.append(fil.points[1:])
+                weights.append(np.full(len(fil.points) - 1, fil.fraction))
+    return np.concatenate(starts), np.concatenate(ends), np.concatenate(weights)
+
+
+def _roughness_model(deviation):
+    return BiotSavartModel(ChipLayout(wires=(perturb_wire(roughness_test_wire(), deviation),)))
+
+
+_BENT = RandomDeviation(rms=30e-9, correlation_length=40e-6, seed=11, z_min=-3e-3, z_max=3e-3)
+# segments with a y component: on the chip's planar wires every d_y is 0,
+# which hides the pairing of the dot products' terms
+_TILTED = ChipLayout(wires=(WireSegmentPath(
+    name="t", channel="t", width=20e-6, thickness=1e-6,
+    nodes=((0.0, -1e-6, -1e-3), (50e-6, 3e-6, -2e-4), (-20e-6, -2e-6, 3e-4), (0.0, 1e-6, 1e-3))),))
+
+
 def test_kernel_blocks_match_one_unchunked_call():
-    # 28,800 segments: the kernel splits these 20 points into blocks of 9
-    model = BiotSavartModel(ChipLayout(wires=(perturb_wire(roughness_test_wire(), None),)))
-    starts, ends, weights = model._channels["w"]
+    # 28,800 segments in 113 blocks against one einsum over all of them
+    model = _roughness_model(None)
+    starts, ends, weights = _channel_segments(model.layout, "w")
     assert len(starts) == 28800
     points = np.column_stack([np.linspace(-30e-6, 30e-6, 20), np.full(20, 150e-6),
                               np.linspace(-1e-3, 1e-3, 20)])
     blocked = model.channel_unit_field("w", points)
-    assert blocked.tobytes() == _segment_field(points, starts, ends, weights).tobytes()
+    assert blocked.tobytes() == _einsum_segment_field(points, starts, ends, weights).tobytes()
+
+
+def _kernel_points(layout, rng, n):
+    """n seeded points above and around the layout; from n = 3 on, the last
+    two are a filament's segment end and a point on that segment's line."""
+    fil = discretize_wire(layout.wires[0], 8, 3)[0].points
+    lo = np.min([w.points.min(axis=0) for w in layout.wires], axis=0) - 200e-6
+    hi = np.max([w.points.max(axis=0) for w in layout.wires], axis=0) + 200e-6
+    points = rng.uniform(lo, hi, (n, 3))
+    points[:, 1] = rng.uniform(2e-6, 400e-6, n)
+    if n > 2:
+        points[-2:] = fil[1], fil[0] + 0.5 * (fil[1] - fil[0])
+    return points
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 161, 1201])
+def test_kernel_bitwise_equal_to_einsum_reference(paper, n):
+    # the reference in the pieces of at most 2**18 point-segments that the
+    # previous kernel took; 1201 points against 28,800 segments take ~6 s
+    # there, so only the bent model runs at that size
+    rng = np.random.default_rng(n)
+    cases = [(paper[0], c) for c in paper[0].channels] + [(_TILTED, "t")]
+    cases += [(_roughness_model(dev).layout, "w")
+              for dev in ((_BENT,) if n > 161 else (None, _BENT))]
+    for layout, channel in cases:
+        starts, ends, weights = _channel_segments(layout, channel)
+        points = _kernel_points(layout, rng, n)
+        rows = max(1, 2**18 // len(starts))
+        with np.errstate(invalid="ignore"):  # 0/0 at the segment end, masked
+            expected = np.concatenate([
+                _einsum_segment_field(points[lo:lo + rows], starts, ends, weights)
+                for lo in range(0, n, rows)])
+            got = _segment_field(points, _SegmentTable.build(starts, ends, weights))
+        assert got.tobytes() == expected.tobytes(), (channel, n)
+        assert np.all(np.isfinite(got))
+
+
+def test_kernel_memory_is_bounded():
+    # 161 points against 28,800 segments: the profile that sets the peak
+    # memory of roughness_field
+    model = _roughness_model(_BENT)
+    points = np.column_stack([np.zeros(161), np.full(161, 150e-6), np.linspace(-8e-4, 8e-4, 161)])
+    tracemalloc.start()
+    try:
+        model.channel_unit_field("w", points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_div_curl_residuals_small_grid(thin_model):

@@ -9,6 +9,8 @@ from atomchip.geometry import (
     central_section_only, discretize_wire, load_layout, parse_config,
     point_inside_wire, serialize_config,
 )
+from atomchip.reproduction import roughness_test_wire
+from atomchip.roughness import RandomDeviation, perturb_wire
 
 MINIMAL = {
     "wires": [{
@@ -184,6 +186,62 @@ def test_discretize_centroid_on_centerline(rng):
 def test_discretize_validates_counts(thin_wire):
     with pytest.raises(GeometryError):
         discretize_wire(thin_wire, 0, 1)
+
+
+def _offset_polyline_loop(wire, horizontal, vertical):
+    """Reference offset: every node's miter computed again for each filament."""
+    pts = wire.points
+    d = np.diff(pts, axis=0)
+    normals = np.cross(np.broadcast_to([0.0, 1.0, 0.0], d.shape), d)
+    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+    out = pts.copy()
+    n = len(pts)
+    for i in range(n):
+        if i == 0:
+            m, denom = normals[0], 1.0
+        elif i == n - 1:
+            m, denom = normals[-1], 1.0
+        else:
+            m = normals[i - 1] + normals[i]
+            m = m / np.linalg.norm(m)
+            denom = float(np.dot(m, normals[i - 1]))
+        out[i] = pts[i] + m * (horizontal / denom)
+    out[:, 1] += vertical
+    return out
+
+
+def test_discretize_matches_per_node_offset_loop(rng):
+    jitter = rng.uniform(-20e-6, 20e-6, (9, 3)) * [1.0, 0.05, 1.0]
+    zigzag = WireSegmentPath(
+        name="zz", channel="zz", width=40e-6, thickness=2e-6,
+        nodes=tuple(map(tuple, np.column_stack(
+            [np.tile([0.0, 150e-6], 5)[:9], np.full(9, -1e-6), np.arange(9) * 200e-6]) + jitter)),
+    )
+    bent = perturb_wire(roughness_test_wire(), RandomDeviation(
+        rms=30e-9, correlation_length=40e-6, seed=5, z_min=-3e-3, z_max=3e-3))
+    wires = builtin_paper_layout()[0].wires + (zigzag, bent)
+    for wire in wires:
+        for nw, nt in ((8, 3), (3, 2)):
+            fils = discretize_wire(wire, nw, nt)
+            h = ((np.arange(nw) + 0.5) / nw - 0.5) * wire.width
+            v = ((np.arange(nt) + 0.5) / nt - 0.5) * wire.thickness
+            expected = [_offset_polyline_loop(wire, float(hh), float(vv)) for vv in v for hh in h]
+            assert len(fils) == len(expected)
+            for fil, ref in zip(fils, expected):
+                assert fil.points.tobytes() == ref.tobytes(), wire.name
+                assert fil.fraction == 1.0 / (nw * nt)
+
+
+def test_discretize_rejects_reversal_and_vertical_segment():
+    reversal = WireSegmentPath(name="r", channel="r", width=10e-6, thickness=1e-6,
+                               nodes=((0, 0, 0), (0, 0, 1e-3), (0, 0, 0)))
+    with pytest.raises(GeometryError, match=r"wire 'r': 180-degree bend cannot be offset"):
+        discretize_wire(reversal, 2, 1)
+    vertical = WireSegmentPath(name="v", channel="v", width=10e-6, thickness=1e-6,
+                               nodes=((0, 0, 0), (0, 1e-3, 0)))
+    with pytest.raises(GeometryError,
+                       match=r"wire 'v': segment parallel to y has no width direction"):
+        discretize_wire(vertical, 2, 1)
 
 
 def test_point_inside_wire():
