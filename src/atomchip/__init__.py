@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import (
-    ChipError, ConfigError, ConvergenceError, FieldDomainError, FitError,
+    ChipError, ConfigError, ConvergenceError, FieldDomainError, FieldZeroError, FitError,
     GeometryError, SaddlePointError, ThermalRunawayError,
 )
 from .fields import BiotSavartModel, FieldSample, GridSpec, field_at, field_jacobian, field_map

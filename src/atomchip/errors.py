@@ -29,6 +29,10 @@ class SaddlePointError(ChipError):
     """A supposed minimum turned out not to be one (Hessian not PSD)."""
 
 
+class FieldZeroError(ChipError):
+    """U = slope |B| has a cone, not a harmonic curvature, at a field zero."""
+
+
 class ThermalRunawayError(ChipError):
     """Self-heating has no finite fixed point at the requested current."""
 

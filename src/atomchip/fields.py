@@ -16,6 +16,10 @@ block sizes:
   add as ``(x*x + y*y) + z*z``;
 * the dot products d.a and the squared norm |a1 x d|^2 add as
   ``(x*x' + z*z') + y*y'``.
+
+The Jacobian dB_i/dx_j is closed form per segment too and is summed in
+the same blocked segment order, so it does not depend on chunking or
+threads either.
 """
 
 from __future__ import annotations
@@ -32,21 +36,6 @@ from .geometry import wire_containing  # noqa: F401  (bench/tracing.py spans it 
 
 DEFAULT_N_WIDTH = 8
 DEFAULT_N_THICKNESS = 3
-DEFAULT_JACOBIAN_STEP = 0.5e-6  # m
-
-# Documented finite-difference tolerance for the div/curl invariants of
-# field_jacobian at the default step: residuals stay below
-#   REL_FD_TOL * ||J||_F + ABS_FD_TOL
-# for points at least ~100 steps (50 um) from any conductor; the truncation
-# error scales as (step/distance)^2, so halve the step (or use Richardson)
-# to probe closer.  div B vanishes for
-# any superposition of segments; curl B additionally requires the current
-# path to be closed or effectively infinite (a finite OPEN polyline models a
-# truncated circuit whose non-conserved endpoints contribute a real curl
-# ~ mu0 I / 4 pi d^2 at distance d, not a solver error).  Validate curl on
-# layouts whose endpoints are far from the probe region.
-REL_FD_TOL = 2e-4
-ABS_FD_TOL = 1e-6  # T/m
 
 # Points per field_map work item.  Per-point arithmetic does not depend on
 # how points are chunked, so results do not either; the chunk only bounds
@@ -126,25 +115,34 @@ class _SegmentTable(NamedTuple):
         )
 
 
-def _segment_field(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
+def _segment_field(points: np.ndarray, table: _SegmentTable,
+                   jacobian: bool = False) -> np.ndarray:
     """Biot-Savart field of weighted straight segments at unit current.
 
-    Closed-form finite-segment expression; (N,3) result for (N,3) points.
+    Closed-form finite-segment expression; (N,3) result for (N,3) points,
+    or with ``jacobian`` (N,12): the field, then dB_i/dx_j row by row.
     Takes the points in pieces of at most _KERNEL_POINT_SEGMENTS // block
     points (see _piece_field).
     """
     rows = max(1, _KERNEL_POINT_SEGMENTS // min(_SEGMENT_BLOCK, len(table.scale)))
-    out = np.empty((len(points), 3))
+    out = np.empty((len(points), 12 if jacobian else 3))
     for lo in range(0, len(points), rows):
-        out[lo:lo + rows] = _piece_field(points[lo:lo + rows], table).T
+        out[lo:lo + rows] = _piece_field(points[lo:lo + rows], table, jacobian).T
     return out
 
 
-def _piece_field(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
+def _piece_field(points: np.ndarray, table: _SegmentTable,
+                 jacobian: bool = False) -> np.ndarray:
     """(3, N) field of ``table``'s segments at ``points``, _segment_field's
     arithmetic on blocks of _SEGMENT_BLOCK segments at a time, each quantity
     one contiguous (segments x points) plane; each block's terms are added to
-    a running per-point sum in segment order (module docstring)."""
+    a running per-point sum in segment order (module docstring).
+
+    With ``jacobian`` the result is (12, N): the field, then the closed-form
+    dB_i/dx_j of each segment term coeff * f (f = a1 x d), summed the same
+    way: d(coeff f)/dx = f (x) grad(coeff) - coeff [d]x, where
+    grad(d.a / |a|) = d / |a| - (d.a) a / |a|^3 and grad |f|^2 = 2 d x f.
+    """
     n_seg = len(table.scale)
     block = min(_SEGMENT_BLOCK, n_seg)
     p = points[:, _AXES].T.reshape(2, 5, 1, -1)
@@ -154,6 +152,10 @@ def _piece_field(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
     f_buf = np.empty((3, block, n))
     terms = np.empty((block + 1, 3, n))  # running sum, then one row per segment
     terms[0] = 0.0
+    if jacobian:
+        # f (x) grad(coeff) as 9 rows, then coeff * d as 3 rows
+        jterms = np.empty((block + 1, 12, n))
+        jterms[0] = 0.0
     for lo in range(0, n_seg, block):
         hi = min(lo + block, n_seg)
         b = hi - lo
@@ -167,6 +169,11 @@ def _piece_field(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
         sums += r[:, 2]  # |a2|^2, |a1|^2, d.a2, d.a1
         np.sqrt(sums[:2], out=sums[:2])
         sums[2:] /= sums[:2]
+        if jacobian:
+            d = table.d_xzy[[0, 2, 1], lo:hi, None]
+            inv = 1.0 / sums[:2]
+            along = sums[2:] * inv * inv
+            grad_sine = d * (inv[0] - inv[1]) - along[0] * a[0, :3] + along[1] * a[1, :3]
         sine = np.subtract(sums[2], sums[3], out=sums[2])
         # f = a1 x d
         a1 = a[1]
@@ -188,7 +195,24 @@ def _piece_field(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
         # axis of a single point would be one); reduced over its first
         # axis, this (segments, 3, points) array is added row after row
         terms[0] = np.add.reduce(terms[:b + 1], axis=0)
-    return terms[0]
+        if jacobian:
+            grad_coeff = table.scale[lo:hi] * grad_sine
+            grad_coeff -= 2.0 * coeff * np.cross(d, f, axis=0)
+            grad_coeff /= s2
+            if any_online:
+                grad_coeff[:, online] = 0.0
+            seg_terms = jterms[1:b + 1].transpose(1, 0, 2)
+            seg_terms[:9] = (f[:, None] * grad_coeff).reshape(9, b, n)
+            np.multiply(coeff, d, out=seg_terms[9:])
+            jterms[0] = np.add.reduce(jterms[:b + 1], axis=0)
+    if not jacobian:
+        return terms[0]
+    # J = sum of f (x) grad(coeff), minus [v]x with v = sum of coeff * d
+    J = jterms[0, :9].reshape(3, 3, n)
+    v = jterms[0, 9:]
+    J[[2, 0, 1], [1, 2, 0]] -= v
+    J[[1, 2, 0], [2, 0, 1]] += v
+    return np.concatenate([terms[0], J.reshape(9, n)])
 
 
 class BiotSavartModel:
@@ -233,14 +257,27 @@ class BiotSavartModel:
     def field(self, currents: CurrentConfig, points: np.ndarray,
               check_domain: bool = True) -> np.ndarray:
         """B = bias + sum over channels of I_ch * unit field, (N,3)."""
+        return self._superpose(currents, points, check_domain, currents.bias,
+                               self.channel_unit_field)
+
+    def field_and_jacobian(self, currents: CurrentConfig, points: np.ndarray,
+                           check_domain: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """(B (N,3), dB_i/dx_j (N,3,3) in T/m), both closed form; B has the
+        bits of ``field``."""
+        out = self._superpose(
+            currents, points, check_domain, tuple(currents.bias) + (0.0,) * 9,
+            lambda channel, pts: _segment_field(pts, self._channels[channel], jacobian=True))
+        return out[:, :3], out[:, 3:].reshape(-1, 3, 3)
+
+    def _superpose(self, currents, points, check_domain, bias, unit) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if check_domain:
             _assert_outside_conductors(self, points)
-        B = np.tile(np.asarray(currents.bias, dtype=float), (len(points), 1))
+        B = np.tile(np.asarray(bias, dtype=float), (len(points), 1))
         for channel in self._channels:
             amps = currents.dc_current(channel)
             if amps != 0.0:
-                B = B + amps * self.channel_unit_field(channel, points)
+                B = B + amps * unit(channel, points)
         if not np.isfinite(B).all():
             raise FieldDomainError("non-finite field value (point too close to a filament)")
         return B
@@ -278,43 +315,14 @@ def field_at(model: BiotSavartModel, currents: CurrentConfig, point) -> FieldSam
     return FieldSample.make(point, B)
 
 
-def field_jacobian(model: BiotSavartModel, currents: CurrentConfig, point,
-                   step: float = DEFAULT_JACOBIAN_STEP, richardson: bool = False) -> np.ndarray:
-    """Central-difference Jacobian dB_i/dx_j (3x3, T/m).
-
-    The point must clear every conductor by at least ``step``.  With
-    ``richardson`` a second pass at step/2 removes the leading h^2 error.
-    """
-    p = np.asarray(point, dtype=float)
-    index = model.conductor_index(p[None], pad=step)[0]
-    if index >= 0:
-        raise FieldDomainError(
-            f"Jacobian point within one step ({step * 1e6:.2f} um) "
-            f"of wire {model.layout.wires[index].name!r}"
-        )
-
-    def jac(h: float) -> np.ndarray:
-        offsets = np.zeros((6, 3))
-        for j in range(3):
-            offsets[2 * j, j] = h
-            offsets[2 * j + 1, j] = -h
-        B = model.field(currents, p[None, :] + offsets, check_domain=False)
-        J = np.empty((3, 3))
-        for j in range(3):
-            J[:, j] = (B[2 * j] - B[2 * j + 1]) / (2.0 * h)
-        return J
-
-    J = jac(step)
-    if richardson:
-        J = (4.0 * jac(step / 2.0) - J) / 3.0
-    return J
+def field_jacobian(model: BiotSavartModel, currents: CurrentConfig, point) -> np.ndarray:
+    """Closed-form Jacobian dB_i/dx_j (3x3, T/m); errors if inside a conductor."""
+    return model.field_and_jacobian(currents, np.asarray(point, dtype=float))[1][0]
 
 
-def sample_with_jacobian(model: BiotSavartModel, currents: CurrentConfig, point,
-                         step: float = DEFAULT_JACOBIAN_STEP) -> FieldSample:
-    B = model.field(currents, np.asarray(point, dtype=float))[0]
-    J = field_jacobian(model, currents, point, step=step)
-    return FieldSample.make(point, B, grad=J)
+def sample_with_jacobian(model: BiotSavartModel, currents: CurrentConfig, point) -> FieldSample:
+    B, J = model.field_and_jacobian(currents, np.asarray(point, dtype=float))
+    return FieldSample.make(point, B[0], grad=J[0])
 
 
 @dataclass(frozen=True)
@@ -337,44 +345,23 @@ class GridSpec:
 
 
 def field_map(model: BiotSavartModel, currents: CurrentConfig, grid: GridSpec,
-              threads: int = 1, with_jacobian: bool = False,
-              jacobian_step: float = DEFAULT_JACOBIAN_STEP) -> list[FieldSample]:
-    """Evaluate the field over a grid; identical to pointwise field_at.
+              threads: int = 1, with_jacobian: bool = False) -> list[FieldSample]:
+    """Evaluate the field (and optionally its closed-form Jacobian) over a
+    grid; identical to pointwise field_at.
 
     Results are ordered row-major over the grid and are bitwise independent
     of ``threads`` (fixed chunk size, per-point reduction order unchanged).
     """
     points = grid.points()
     _assert_outside_conductors(model, points)
-    if with_jacobian:
-        bad = model.conductor_index(points, pad=jacobian_step) >= 0
-        if np.any(bad):
-            p = points[np.argmax(bad)]
-            raise FieldDomainError(
-                f"grid point ({p[0] * 1e6:.3f}, {p[1] * 1e6:.3f}, {p[2] * 1e6:.3f}) um "
-                f"within one Jacobian step of a conductor"
-            )
-
     chunks = [(lo, min(lo + _CHUNK, len(points)))
               for lo in range(0, len(points), _CHUNK)]
 
     def eval_chunk(bounds):
         lo, hi = bounds
-        B = model.field(currents, points[lo:hi], check_domain=False)
-        if not with_jacobian:
-            return lo, B, None
-        J = np.empty((hi - lo, 3, 3))
-        h = jacobian_step
-        shifted = {}
-        for j in range(3):
-            for sign in (1.0, -1.0):
-                off = np.zeros(3)
-                off[j] = sign * h
-                shifted[(j, sign)] = model.field(currents, points[lo:hi] + off,
-                                                 check_domain=False)
-        for j in range(3):
-            J[:, :, j] = (shifted[(j, 1.0)] - shifted[(j, -1.0)]) / (2.0 * h)
-        return lo, B, J
+        if with_jacobian:
+            return lo, *model.field_and_jacobian(currents, points[lo:hi], check_domain=False)
+        return lo, model.field(currents, points[lo:hi], check_domain=False), None
 
     results: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     if threads > 1 and len(chunks) > 1:

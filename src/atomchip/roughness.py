@@ -158,8 +158,9 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
     Both wires are resampled identically, so a zero deviation gives exactly
     zero.  The evaluation line sits ``height`` above the chip surface at the
     unperturbed centerline x (overridable via ``x_eval``); dV is
-    zeeman_slope * d|B| along the same line and ratio_to_main divides dB_z
-    by the straight wire's field magnitude pointwise.
+    zeeman_slope * dB_z, the potential change of a trap whose bottom field
+    lies along z (Esteve et al., PRA 70, 043629 (2004)), and ratio_to_main
+    divides dB_z by the straight wire's field magnitude pointwise.
     """
     if height <= 0.0:
         raise ConfigError("evaluation height must be > 0")
@@ -187,9 +188,11 @@ def _roughness_from_wires(straight, bent, currents, points, z_values, species,
     B_s = model_s.field(currents, points)
     B_b = model_b.field(currents, points)
     mag_s = np.linalg.norm(B_s, axis=1)
-    mag_b = np.linalg.norm(B_b, axis=1)
     delta_bz = B_b[:, 2] - B_s[:, 2]
-    delta_v = species.zeeman_slope * (mag_b - mag_s)
+    # a trap whose bottom field lies along z feels the first-order change
+    # delta_Bz; the bare wire's |B| changes only to second order, as the
+    # wire field is perpendicular to delta_Bz
+    delta_v = species.zeeman_slope * delta_bz
     ratio = delta_bz / mag_s
     return RoughnessProfile(
         z=tuple(z_values.tolist()),

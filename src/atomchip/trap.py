@@ -1,15 +1,23 @@
 """Locate and characterize magnetic trap minima.
 
 The trapping potential is U(r) = zeeman_slope * |B(r)| plus an optional
-gravity term -m g.r.  Minima are found by Nelder-Mead multistart from a
-3x3x3 seed lattice followed by finite-difference Newton polish; curvatures
-come from a step-refined finite-difference Hessian.
+gravity term -m g.r.  Its gradient slope * J^T b_hat (J = dB/dx, b_hat =
+B/|B|) is exact from the closed-form field Jacobian; its Hessian is
 
-Numerical defaults (documented): polish gradient step 1e-8 m, Hessian
-starting step 1 um halved until eigenvalues move < 0.5%, gradient tolerance
-1e-26 J/m (about 1e-5 G/um in field units for the Rb87 |2,2> slope; the
-practical floor of double-precision finite differences at these energy
-scales).
+    slope * [J^T (I - b_hat b_hat^T) J / |B| + sum_i b_hat_i dJ_i/dx],
+
+whose first term carries the trap's own length scale |B| / ||J|| and is
+exact, and whose second term is a central difference of the analytic J.
+Minima come from one trust-region Newton solve from the seed; frequencies
+and principal axes from one Hessian.
+
+Numerical defaults (documented): Jacobian difference step 1 um (B is smooth
+on the wire scale, so its error is ~ (step / wire distance)^2); the solve
+stops when a step falls below 1e-13 m and accepts the point if |grad U| <=
+1e-26 J/m (about 1e-5 G/um in field units for the Rb87 |2,2> slope).  Where
+|B| <= ||J|| * 1e-13 m (a field zero, where U is a cone) b_hat is taken as
+0, the zero subgradient: such a minimum has no harmonic frequencies, and
+with gravity it has no zero gradient either, so it is not found.
 """
 
 from __future__ import annotations
@@ -19,24 +27,28 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import ChipError, ConvergenceError, SaddlePointError
+from .errors import (
+    ChipError, ConvergenceError, FieldDomainError, FieldZeroError, SaddlePointError,
+)
 from .fields import BiotSavartModel
 from .geometry import AtomSpecies, CurrentConfig, Vec3
 
 GRAD_TOL = 1e-26       # J/m
-_POLISH_GRAD_STEP = 1e-8   # m
-_POLISH_HESS_STEP = 5e-7   # m
 _STEP_TOL = 1e-13      # m
+_JACOBIAN_STEP = 1e-6  # m, central difference of J in the Hessian
+_INITIAL_RADIUS = 10e-6  # m, first trust radius of the minimum search
+_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
 class PotentialDef:
     """Scalar potential U(r) with the species it applies to.
 
-    ``energy`` maps a 3-vector (m) to joules; ``field`` optionally returns
-    the magnetic field vector backing the potential (None for synthetic
+    ``energy`` maps a 3-vector (m) to joules, ``gradient`` and ``hessian``
+    to its first (J/m) and second (J/m^2) derivatives, which the minimum
+    search and the frequencies need; ``field`` optionally returns the
+    magnetic field vector backing the potential (None for synthetic
     potentials).  Instances are immutable and safe to share across workers.
     """
 
@@ -46,6 +58,8 @@ class PotentialDef:
     energy_batch: Callable[[np.ndarray], np.ndarray] | None = None  # (N,3) -> (N,)
     gravity_enabled: bool = False
     surface_y: float = 0.0
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3,)
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3, 3)
 
 
 def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
@@ -75,9 +89,35 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
     def field(r: np.ndarray) -> np.ndarray:
         return model.field(currents, r)[0]
 
+    def direction(B: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, float]:
+        """(b_hat, |B|), with b_hat = 0 on a field zero (module docstring)."""
+        magnitude = float(np.linalg.norm(B))
+        if magnitude <= np.linalg.norm(J) * _STEP_TOL:
+            return np.zeros(3), magnitude
+        return B / magnitude, magnitude
+
+    def gradient(r: np.ndarray) -> np.ndarray:
+        B, J = model.field_and_jacobian(currents, r)
+        grad = species.zeeman_slope * (J[0].T @ direction(B[0], J[0])[0])
+        return grad - species.mass * g if gravity else grad
+
+    def hessian(r: np.ndarray) -> np.ndarray:
+        shifts = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)]) * _JACOBIAN_STEP
+        B, J = model.field_and_jacobian(currents, np.asarray(r, dtype=float) + shifts)
+        b_hat, magnitude = direction(B[0], J[0])
+        if not b_hat.any():
+            raise FieldZeroError(
+                "no harmonic curvature: U = slope |B| is a cone at this field zero")
+        transverse = J[0] - np.outer(b_hat, b_hat @ J[0])  # (I - b b^T) J
+        dJ = (J[1:4] - J[4:]) / (2.0 * _JACOBIAN_STEP)  # dJ[k] = dJ/dx_k
+        second = np.einsum("i,kij->jk", b_hat, dJ)
+        curvature = J[0].T @ transverse / magnitude + 0.5 * (second + second.T)
+        return species.zeeman_slope * curvature
+
     return PotentialDef(energy=energy, species=species, field=field,
                         energy_batch=energy_batch,
-                        gravity_enabled=gravity, surface_y=model.layout.surface_y)
+                        gravity_enabled=gravity, surface_y=model.layout.surface_y,
+                        gradient=gradient, hessian=hessian)
 
 
 def potential_at(pdef: PotentialDef, point) -> float:
@@ -109,43 +149,23 @@ class TrapCharacterization:
                 raise ValueError("axes must be orthonormal within 1e-10")
 
 
-def _fd_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros(3)
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
-def _fd_hessian(f, x: np.ndarray, h: float) -> np.ndarray:
-    H = np.zeros((3, 3))
-    f0 = f(x)
-    e = np.eye(3) * h
-    for i in range(3):
-        H[i, i] = (f(x + e[i]) - 2.0 * f0 + f(x - e[i])) / h**2
-        for j in range(i + 1, 3):
-            H[i, j] = H[j, i] = (
-                f(x + e[i] + e[j]) - f(x + e[i] - e[j])
-                - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
-            ) / (4.0 * h * h)
-    return H
-
-
 def find_trap_minimum(pdef: PotentialDef, seed_point,
-                      lattice_halfwidth: float = 20e-6,
                       domain_halfwidth: float = 500e-6,
-                      grad_tol: float = GRAD_TOL,
-                      max_polish: int = 40,
-                      n_starts: int = 4) -> TrapCharacterization:
-    """Local minimizer of U near ``seed_point``.
+                      grad_tol: float = GRAD_TOL) -> TrapCharacterization:
+    """Local minimizer of U near ``seed_point`` by one trust-region Newton
+    solve.
 
-    Multistart over a 3x3x3 lattice (spacing ``lattice_halfwidth``); local
-    descent runs from the ``n_starts`` lowest lattice points and the winner
-    is the lowest-energy converged candidate, ties broken by lexicographic
-    position.  Raises ConvergenceError if no start converges and reports an
-    escape if the winner leaves the seed-centred domain box.
+    Each step is the Newton step where U's Hessian is positive definite and
+    the steepest descent direction otherwise, clipped to a radius that
+    doubles when the step lowers U and shrinks when it does not; points in
+    a conductor or outside the seed-centred domain box count as infinite U.
+    The solve stops when a step falls below 1e-13 m: a gradient stop would
+    accept any point of a soft axis (the builtin trap's axial curvature,
+    5e-24 J/m^2, meets 1e-26 J/m within +-2 mm).  Raises ConvergenceError
+    if |grad U| then exceeds ``grad_tol`` or the point sits on the box wall.
     """
+    if pdef.gradient is None or pdef.hessian is None:
+        raise TypeError("the potential defines no gradient and Hessian")
     seed = np.asarray(seed_point, dtype=float)
     lo, hi = seed - domain_halfwidth, seed + domain_halfwidth
 
@@ -157,99 +177,68 @@ def find_trap_minimum(pdef: PotentialDef, seed_point,
         except ChipError:
             return np.inf
 
-    offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
-    lattice = seed + offsets * lattice_halfwidth
-    scored = sorted(
-        ((U(p), tuple(p)) for p in lattice), key=lambda c: (c[0], c[1])
-    )
-    starts = [np.asarray(p) for u, p in scored[:n_starts] if np.isfinite(u)]
-
-    candidates: list[tuple[float, tuple[float, ...], float]] = []
-    for start in starts:
-        res = minimize(U, start, method="Nelder-Mead",
-                       options=dict(xatol=1e-10, fatol=0.0, maxiter=400,
-                                    maxfev=800))
-        x = np.asarray(res.x, dtype=float)
-        if not np.isfinite(U(x)):
-            continue
-        x, gnorm = _newton_polish(U, x, grad_tol, max_polish)
-        if gnorm <= 10.0 * grad_tol:
-            candidates.append((U(x), tuple(x), gnorm))
-
-    if not candidates:
+    x, u = seed, U(seed)
+    radius = _INITIAL_RADIUS
+    grad, newton = _newton_step(pdef, x)
+    for _ in range(_MAX_ITERATIONS):
+        gnorm = float(np.linalg.norm(grad))
+        if newton is not None:
+            step = newton * min(1.0, radius / float(np.linalg.norm(newton)))
+        elif gnorm > 0.0:
+            step = -radius / gnorm * grad
+        else:
+            break  # the apex of a cone at a field zero
+        length = float(np.linalg.norm(step))
+        if length < _STEP_TOL:
+            break
+        u_step = U(x + step)
+        if u_step < u:
+            x, u = x + step, u_step
+            radius *= 2.0
+            grad, newton = _newton_step(pdef, x)
+        else:
+            radius = length / 4.0
+    else:
         raise ConvergenceError("no trap minimum found within the iteration budget")
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    u_min, x_min, gnorm = candidates[0]
-    x_arr = np.asarray(x_min)
-    if np.any(np.abs(x_arr - seed) >= domain_halfwidth * (1.0 - 1e-9)):
+    if not gnorm <= grad_tol:
+        raise ConvergenceError(
+            f"search stalled at |grad U| = {gnorm:.3g} J/m > {grad_tol:.3g} J/m")
+    if np.any(np.abs(x - seed) >= domain_halfwidth * (1.0 - 1e-9)):
         raise ConvergenceError("trap minimum escaped the search domain")
 
-    if pdef.field is not None:
-        bottom = float(np.linalg.norm(pdef.field(x_arr)))
-    else:
-        bottom = float("nan")
+    bottom = float("nan") if pdef.field is None else float(np.linalg.norm(pdef.field(x)))
     return TrapCharacterization(
-        minimum=tuple(x_min),
+        minimum=tuple(float(c) for c in x),
         bottom_field=bottom,
-        height_above_chip=float(x_min[1] - pdef.surface_y),
+        height_above_chip=float(x[1] - pdef.surface_y),
         grad_norm=gnorm,
     )
 
 
-def _newton_polish(U, x: np.ndarray, grad_tol: float, max_iter: int):
-    """Damped FD-Newton refinement; returns (x, |grad|)."""
-    best_x, best_u = x.copy(), U(x)
-    for _ in range(max_iter):
-        g = _fd_gradient(U, best_x, _POLISH_GRAD_STEP)
-        gnorm = float(np.linalg.norm(g))
-        if not np.isfinite(gnorm):
-            break  # pinned against the domain wall or a conductor
-        if gnorm <= grad_tol:
-            return best_x, gnorm
-        H = _fd_hessian(U, best_x, _POLISH_HESS_STEP)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step = -g / max(gnorm, 1e-300) * 1e-7
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 50e-6:
-            step = -g / max(gnorm, 1e-300) * 1e-7
-        while np.linalg.norm(step) > _STEP_TOL and U(best_x + step) > best_u:
-            step = step / 2.0
-        if np.linalg.norm(step) <= _STEP_TOL:
-            break
-        best_x = best_x + step
-        best_u = U(best_x)
-    return best_x, float(np.linalg.norm(_fd_gradient(U, best_x, _POLISH_GRAD_STEP)))
+def _newton_step(pdef: PotentialDef, x: np.ndarray):
+    """(grad U, Newton step), the step None where the Hessian is not
+    positive definite or U has none (a field zero, a conductor within the
+    Jacobian difference step)."""
+    grad = pdef.gradient(x)
+    try:
+        H = pdef.hessian(x)
+        np.linalg.cholesky(H)
+    except (FieldZeroError, FieldDomainError, np.linalg.LinAlgError):
+        return grad, None
+    return grad, np.linalg.solve(H, -grad)
 
 
-def trap_frequencies(pdef: PotentialDef, minimum,
-                     initial_step: float = 1e-6,
-                     eig_rtol: float = 5e-3,
-                     max_halvings: int = 6):
-    """Harmonic frequencies and principal axes from the FD Hessian of U.
+def trap_frequencies(pdef: PotentialDef, minimum):
+    """Harmonic frequencies and principal axes from the Hessian of U.
 
-    The step starts at ``initial_step`` and is halved until all eigenvalues
-    move by less than ``eig_rtol``.  Returns (frequencies Hz ascending,
-    axes as rows matching the frequencies); raises SaddlePointError when
-    the Hessian has a significantly negative eigenvalue.
+    Returns (frequencies Hz ascending, axes as rows matching the
+    frequencies); raises SaddlePointError when the Hessian has a
+    significantly negative eigenvalue and FieldZeroError (from a magnetic
+    potential) at a field zero.
     """
-    x0 = np.asarray(minimum, dtype=float)
-
-    def U(x):
-        return pdef.energy(x)
-
-    h = initial_step
-    evals_prev, evecs_prev = np.linalg.eigh(_fd_hessian(U, x0, h))
-    for _ in range(max_halvings):
-        h /= 2.0
-        evals, evecs = np.linalg.eigh(_fd_hessian(U, x0, h))
-        scale = max(np.max(np.abs(evals)), 1e-300)
-        if np.max(np.abs(evals - evals_prev)) < eig_rtol * scale:
-            evals_prev, evecs_prev = evals, evecs
-            break
-        evals_prev, evecs_prev = evals, evecs
-
-    evals, evecs = evals_prev, evecs_prev
+    if pdef.hessian is None:
+        raise TypeError("the potential defines no Hessian")
+    evals, evecs = np.linalg.eigh(pdef.hessian(np.asarray(minimum, dtype=float)))
     scale = max(np.max(np.abs(evals)), 1e-300)
     if evals[0] < -1e-4 * scale:
         raise SaddlePointError(

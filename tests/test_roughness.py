@@ -119,6 +119,16 @@ def test_height_smoothing_monotone(species):
     assert (r_150_200 / r_75_200) < (r_150_400 / r_75_400)
 
 
+def test_delta_v_is_slope_times_delta_bz(straight_wire, species):
+    # the trap bottom field lies along z, so the atoms feel slope * dB_z
+    z = np.linspace(-400e-6, 400e-6, 41)
+    prof = roughness_field(straight_wire, TriangleDeviation(20e-9, 800e-6),
+                           current=2.0, height=150e-6, z_values=z,
+                           species=species, n_width=4, n_thickness=1)
+    assert max(abs(b) for b in prof.delta_Bz) > 0.0
+    assert prof.delta_V == tuple((species.zeeman_slope * np.asarray(prof.delta_Bz)).tolist())
+
+
 def test_rows_header(straight_wire, species):
     z = np.linspace(-100e-6, 100e-6, 11)
     prof = roughness_field(straight_wire, TriangleDeviation(20e-9, 800e-6),

@@ -1,8 +1,12 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from atomchip.constants import BOHR_MAGNETON, GAUSS, MU_0, PLANCK
-from atomchip.errors import SaddlePointError
+from atomchip.errors import ConvergenceError, FieldZeroError, SaddlePointError
 from atomchip.fields import BiotSavartModel, field_jacobian
 from atomchip.geometry import ChipLayout, CurrentConfig, WireSegmentPath, rb87_f2m2
 from atomchip.trap import (
@@ -22,7 +26,11 @@ def harmonic_potential(species, freqs_hz, center=(0.0, 0.0, 0.0), axes=None):
         d = axes @ (np.asarray(r, dtype=float) - center)
         return float(0.5 * np.sum(k * d**2))
 
-    return PotentialDef(energy=energy, species=species)
+    def gradient(r):
+        return axes.T @ (k * (axes @ (np.asarray(r, dtype=float) - center)))
+
+    return PotentialDef(energy=energy, species=species, gradient=gradient,
+                        hessian=lambda r: axes.T @ np.diag(k) @ axes)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +68,28 @@ def test_thin_filament_height_oracle(thin_model, thin_currents, species):
     assert abs(tc.height_above_chip - oracle) < 1e-6
 
 
+def test_thin_filament_height_matches_finite_segment_root(thin_model, thin_currents, species):
+    # the fixture's single 0.1 m filament gives |B_x| = mu0 I / (4 pi y) *
+    # L / sqrt(L^2 / 4 + y^2) above its midpoint; the trap is where that
+    # cancels the bias, a field zero (U is a cone there)
+    half = 0.05
+
+    def excess(y):
+        return MU_0 * 2.0 / (4.0 * np.pi * y) * 2.0 * half / np.hypot(half, y) - 24.8 * GAUSS
+
+    exact = brentq(excess, 100e-6, 200e-6, xtol=1e-18)
+    tc = find_trap_minimum(magnetic_potential(thin_model, thin_currents, species), (0, 150e-6, 0))
+    assert abs(tc.height_above_chip - exact) < 1e-12
+    assert tc.grad_norm == 0.0  # the zero subgradient on the cone
+
+
+def test_field_zero_has_no_harmonic_frequencies(thin_model, thin_currents, species):
+    pdef = magnetic_potential(thin_model, thin_currents, species)
+    tc = find_trap_minimum(pdef, (0, 150e-6, 0))
+    with pytest.raises(FieldZeroError, match="no harmonic curvature"):
+        trap_frequencies(pdef, tc.minimum)
+
+
 def test_finite_width_height_in_paper_window(paper_model, paper, species):
     _, currents, _ = paper
     pdef = magnetic_potential(paper_model, currents, species)
@@ -82,6 +112,16 @@ def test_seed_perturbation_invariance(paper_model, paper, species):
     for off in ((20e-6, 0, 0), (0, 20e-6, 0), (-20e-6, -20e-6, 20e-6)):
         tc = find_trap_minimum(pdef, np.array([-42.5e-6, 150e-6, 0.0]) + off)
         assert np.linalg.norm(np.asarray(tc.minimum) - np.asarray(ref.minimum)) < 0.1e-6
+
+
+def test_seeds_20um_off_converge_within_1nm(paper_model, paper, species):
+    _, currents, _ = paper
+    pdef = magnetic_potential(paper_model, currents, species)
+    seed = np.array([-42.5e-6, 150e-6, 0.0])
+    ref = np.asarray(find_trap_minimum(pdef, seed).minimum)
+    for off in itertools.product((-20e-6, 20e-6), repeat=3):
+        tc = find_trap_minimum(pdef, seed + np.asarray(off))
+        assert np.linalg.norm(np.asarray(tc.minimum) - ref) < 1e-9, off
 
 
 def test_thin_wire_height_property(species):
@@ -155,6 +195,43 @@ def test_paper_trap_is_cigar_shaped(paper_model, paper, species):
     assert abs(tc.axes[0][2]) > 0.99
 
 
+def _second_difference_frequencies(pdef, x0, axes, steps):
+    """Per-axis oracle: sqrt(U''/m) / 2 pi from a three-point second
+    difference of U along each axis, at that axis's step."""
+    x0 = np.asarray(x0, dtype=float)
+    out = []
+    for axis, h in zip(axes, steps):
+        d = h * np.asarray(axis)
+        curvature = (pdef.energy(x0 + d) - 2.0 * pdef.energy(x0) + pdef.energy(x0 - d)) / h**2
+        out.append(np.sqrt(curvature / pdef.species.mass) / (2.0 * np.pi))
+    return np.array(out)
+
+
+def _builtin_operating_points():
+    """(z2 current A, bias_x G, Ioffe G): the builtin point, 0.05 G, and a
+    seeded set spanning 0.1-1 G."""
+    rng = np.random.default_rng(2002)
+    seeded = zip(rng.uniform(1.5, 2.5, 6), rng.uniform(18.0, 30.0, 6), np.linspace(0.1, 1.0, 6))
+    points = [(2.0, 24.8, 0.0), (2.0, 24.8, 0.05)] + [tuple(map(float, p)) for p in seeded]
+    return [pytest.param(*p, id=f"{p[0]:.2f}A-{p[1]:.1f}G-{p[2]:.2f}G") for p in points]
+
+
+@pytest.mark.parametrize("amps, bias_g, ioffe_g", _builtin_operating_points())
+def test_frequencies_match_per_axis_second_differences(paper_model, paper, species,
+                                                       amps, bias_g, ioffe_g):
+    # radial steps of 1 nm sit well inside the harmonic core |B| / ||J||
+    # (54 nm at the builtin point); the axial second difference is flat to
+    # 2e-4 from 5 to 50 um
+    _, builtin, _ = paper
+    cur = replace(builtin.with_dc(z2=amps), bias=(bias_g * GAUSS, 0.0, ioffe_g * GAUSS))
+    pdef = magnetic_potential(paper_model, cur, species)
+    seed = (-42.5e-6, MU_0 * amps / (2.0 * np.pi * bias_g * GAUSS), 0.0)
+    tc = find_trap_minimum(pdef, seed)
+    freqs, axes = trap_frequencies(pdef, tc.minimum)
+    oracle = _second_difference_frequencies(pdef, tc.minimum, axes, (20e-6, 1e-9, 1e-9))
+    assert np.allclose(freqs, oracle, rtol=1e-3, atol=0.0)
+
+
 def test_hessian_vs_1d_parabola_fits(species):
     # independent estimator: fit U along each principal axis to a parabola
     wire = WireSegmentPath(name="w", channel="w",
@@ -179,13 +256,16 @@ def test_hessian_vs_1d_parabola_fits(species):
 
 
 def test_saddle_detected(species):
-    def energy(r):
-        x, y, z = np.asarray(r, dtype=float)
-        k = species.mass * (2 * np.pi * 100.0) ** 2
-        return float(0.5 * k * (x**2 + y**2 - 0.5 * z**2))
+    k = species.mass * (2 * np.pi * 100.0) ** 2 * np.array([1.0, 1.0, -0.5])
 
+    def energy(r):
+        return float(0.5 * np.sum(k * np.asarray(r, dtype=float) ** 2))
+
+    pdef = PotentialDef(energy=energy, species=species,
+                        gradient=lambda r: k * np.asarray(r, dtype=float),
+                        hessian=lambda r: np.diag(k))
     with pytest.raises(SaddlePointError):
-        trap_frequencies(PotentialDef(energy=energy, species=species), (0, 0, 0))
+        trap_frequencies(pdef, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +298,14 @@ def test_depth_unit_identity(paper_model, paper, species):
 def test_no_minimum_reported_as_convergence_failure(species):
     # a uniformly sloping potential has no interior minimum: the search
     # either escapes the domain or never meets the gradient tolerance
-    from atomchip.errors import ConvergenceError
-
     def energy(r):
         return float(1e-24 * np.asarray(r, dtype=float)[0])
 
+    pdef = PotentialDef(energy=energy, species=species,
+                        gradient=lambda r: np.array([1e-24, 0.0, 0.0]),
+                        hessian=lambda r: np.zeros((3, 3)))
     with pytest.raises(ConvergenceError):
-        find_trap_minimum(PotentialDef(energy=energy, species=species),
-                          (0.0, 100e-6, 0.0))
+        find_trap_minimum(pdef, (0.0, 100e-6, 0.0))
 
 
 def test_depth_lower_bound_flag(species):
