@@ -131,15 +131,15 @@ def _cmd_field_map(ns) -> int:
     grid = GridSpec.from_ranges(
         _parse_axis_um(ns.x, "x"), _parse_axis_um(ns.y, "y"), _parse_axis_um(ns.z, "z")
     )
-    samples = field_map(model, currents, grid, threads=ns.threads)
+    B, _ = field_map(model, currents, grid, threads=ns.threads)
     manifest = RunManifest.create(
         "field-map", config=label,
         overrides={"x": ns.x, "y": ns.y, "z": ns.z,
                    "n_width": ns.n_width, "n_thickness": ns.n_thickness},
     )
     out = Path(ns.out) / "field_map.csv"
-    write_output(out, csv_document(manifest, field_map_csv_rows(samples)), ns.force)
-    print(f"wrote {out} ({len(samples)} samples)")
+    write_output(out, csv_document(manifest, field_map_csv_rows(grid.points(), B)), ns.force)
+    print(f"wrote {out} ({len(B)} samples)")
     return 0
 
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FieldDomainError
-from .geometry import ChipLayout, ConductorFrames, CurrentConfig, discretize_wire
+from .geometry import ChipLayout, ConductorFrames, CurrentConfig, _dot3, discretize_wire
 from .geometry import wire_containing  # noqa: F401  (bench/tracing.py spans it here)
 
 DEFAULT_N_WIDTH = 8
@@ -70,24 +70,6 @@ class FieldSample:
             B=B,
             magnitude=float(np.linalg.norm(B)),
             grad_B=None if grad is None else tuple(tuple(float(v) for v in row) for row in grad),
-        )
-
-    @property
-    def divergence(self) -> float:
-        if self.grad_B is None:
-            raise ValueError("sample has no Jacobian")
-        g = np.asarray(self.grad_B)
-        return float(np.trace(g))
-
-    @property
-    def curl(self) -> tuple[float, float, float]:
-        if self.grad_B is None:
-            raise ValueError("sample has no Jacobian")
-        g = np.asarray(self.grad_B)
-        return (
-            float(g[2, 1] - g[1, 2]),
-            float(g[0, 2] - g[2, 0]),
-            float(g[1, 0] - g[0, 1]),
         )
 
 
@@ -345,50 +327,47 @@ class GridSpec:
 
 
 def field_map(model: BiotSavartModel, currents: CurrentConfig, grid: GridSpec,
-              threads: int = 1, with_jacobian: bool = False) -> list[FieldSample]:
+              threads: int = 1, with_jacobian: bool = False
+              ) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate the field (and optionally its closed-form Jacobian) over a
-    grid; identical to pointwise field_at.
+    grid: (B (N,3) in T, dB_i/dx_j (N,3,3) in T/m or None), rows in the
+    grid's row-major point order, each row bitwise equal to pointwise
+    field_at / field_jacobian.
 
-    Results are ordered row-major over the grid and are bitwise independent
-    of ``threads`` (fixed chunk size, per-point reduction order unchanged).
+    Work items of _CHUNK points go to up to ``threads`` workers; results are
+    bitwise independent of ``threads`` (per-point reduction order unchanged).
     """
     points = grid.points()
     _assert_outside_conductors(model, points)
-    chunks = [(lo, min(lo + _CHUNK, len(points)))
-              for lo in range(0, len(points), _CHUNK)]
+    B = np.empty((len(points), 3))
+    J = np.empty((len(points), 3, 3)) if with_jacobian else None
 
-    def eval_chunk(bounds):
-        lo, hi = bounds
+    def eval_chunk(lo: int) -> None:
+        hi = lo + _CHUNK
         if with_jacobian:
-            return lo, *model.field_and_jacobian(currents, points[lo:hi], check_domain=False)
-        return lo, model.field(currents, points[lo:hi], check_domain=False), None
+            B[lo:hi], J[lo:hi] = model.field_and_jacobian(
+                currents, points[lo:hi], check_domain=False)
+        else:
+            B[lo:hi] = model.field(currents, points[lo:hi], check_domain=False)
 
-    results: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    if threads > 1 and len(chunks) > 1:
+    starts = range(0, len(points), _CHUNK)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for lo, B, J in pool.map(eval_chunk, chunks):
-                results[lo] = (B, J)
+            list(pool.map(eval_chunk, starts))  # re-raises a worker's error
     else:
-        for bounds in chunks:
-            lo, B, J = eval_chunk(bounds)
-            results[lo] = (B, J)
-
-    samples: list[FieldSample] = []
-    for lo, hi in chunks:
-        B, J = results[lo]
-        for k in range(hi - lo):
-            grad = None if J is None else J[k]
-            samples.append(FieldSample.make(points[lo + k], B[k], grad=grad))
-    return samples
+        for lo in starts:
+            eval_chunk(lo)
+    return B, J
 
 
-def field_map_csv_rows(samples: list[FieldSample]) -> list[str]:
-    """Rows for the field-map CSV: x_um,y_um,z_um,Bx_G,By_G,Bz_G,Bmag_G."""
+def field_map_csv_rows(points: np.ndarray, B: np.ndarray) -> list[str]:
+    """Rows for the field-map CSV: x_um,y_um,z_um,Bx_G,By_G,Bz_G,Bmag_G.
+
+    |B| is sqrt(_dot3(B, B)), which rounds as the single-point norm does.
+    """
     rows = ["x_um,y_um,z_um,Bx_G,By_G,Bz_G,Bmag_G"]
-    for s in samples:
-        x, y, z = (c * 1e6 for c in s.point)
-        bx, by, bz = (b * 1e4 for b in s.B)
-        rows.append(
-            f"{x:.9g},{y:.9g},{z:.9g},{bx:.9g},{by:.9g},{bz:.9g},{s.magnitude * 1e4:.9g}"
-        )
+    magnitude = np.sqrt(_dot3(B, B))
+    for (x, y, z), (bx, by, bz), b in zip((points * 1e6).tolist(), (B * 1e4).tolist(),
+                                          (magnitude * 1e4).tolist()):
+        rows.append(f"{x:.9g},{y:.9g},{z:.9g},{bx:.9g},{by:.9g},{bz:.9g},{b:.9g}")
     return rows

@@ -352,11 +352,6 @@ class ConductorFrames:
         return np.where(first < self.n_wires, first, -1)
 
 
-def point_inside_wire(wire: WireSegmentPath, point: np.ndarray, pad: float = 0.0) -> bool:
-    """True if ``point`` lies inside the wire volume (padded by ``pad``)."""
-    return bool(ConductorFrames((wire,)).first_containing(point, pad)[0] >= 0)
-
-
 def wire_containing(layout: ChipLayout, point: np.ndarray, pad: float = 0.0) -> str | None:
     """Name of the first wire in layout order containing ``point``, or None."""
     k = int(ConductorFrames(layout.wires).first_containing(point, pad)[0])

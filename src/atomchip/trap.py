@@ -16,8 +16,10 @@ on the wire scale, so its error is ~ (step / wire distance)^2); the solve
 stops when a step falls below 1e-13 m and accepts the point if |grad U| <=
 1e-26 J/m (about 1e-5 G/um in field units for the Rb87 |2,2> slope).  Where
 |B| <= ||J|| * 1e-13 m (a field zero, where U is a cone) b_hat is taken as
-0, the zero subgradient: such a minimum has no harmonic frequencies, and
-with gravity it has no zero gradient either, so it is not found.
+0, the zero subgradient: such a minimum has no harmonic frequencies.  With
+gravity the gradient there is 0 when a subgradient slope J^T v (|v| <= 1)
+balances m g, so a cone steep enough to hold the atom is found as the
+minimum, and -m g otherwise.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ _STEP_TOL = 1e-13      # m
 _JACOBIAN_STEP = 1e-6  # m, central difference of J in the Hessian
 _INITIAL_RADIUS = 10e-6  # m, first trust radius of the minimum search
 _MAX_ITERATIONS = 200
+_RANGE_RTOL = 1e-9  # relative residual of m g = J^T v that counts as in range
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class PotentialDef:
     species: AtomSpecies
     field: Callable[[np.ndarray], np.ndarray] | None = None
     energy_batch: Callable[[np.ndarray], np.ndarray] | None = None  # (N,3) -> (N,)
-    gravity_enabled: bool = False
     surface_y: float = 0.0
     gradient: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3,)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3, 3)
@@ -98,8 +100,21 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
 
     def gradient(r: np.ndarray) -> np.ndarray:
         B, J = model.field_and_jacobian(currents, r)
-        grad = species.zeeman_slope * (J[0].T @ direction(B[0], J[0])[0])
-        return grad - species.mass * g if gravity else grad
+        b_hat = direction(B[0], J[0])[0]
+        grad = species.zeeman_slope * (J[0].T @ b_hat)
+        if not gravity:
+            return grad
+        weight = species.mass * g
+        if not b_hat.any():
+            # 0 is a subgradient when slope J^T v = m g for some |v| <= 1:
+            # m g must lie in the range of J^T, and its least-norm preimage
+            # pinv(J^T) m g must be no longer than slope
+            v = np.linalg.pinv(J[0].T) @ weight
+            residual = np.linalg.norm(J[0].T @ v - weight)
+            if (np.linalg.norm(v) <= species.zeeman_slope
+                    and residual <= _RANGE_RTOL * np.linalg.norm(weight)):
+                return np.zeros(3)
+        return grad - weight
 
     def hessian(r: np.ndarray) -> np.ndarray:
         shifts = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)]) * _JACOBIAN_STEP
@@ -115,8 +130,7 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
         return species.zeeman_slope * curvature
 
     return PotentialDef(energy=energy, species=species, field=field,
-                        energy_batch=energy_batch,
-                        gravity_enabled=gravity, surface_y=model.layout.surface_y,
+                        energy_batch=energy_batch, surface_y=model.layout.surface_y,
                         gradient=gradient, hessian=hessian)
 
 
@@ -280,20 +294,15 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
         dirs = dirs @ np.asarray(axes)
     ts = np.linspace(search_halfwidth / n_samples, search_halfwidth, n_samples)
 
-    depth = np.inf
-    lower_bound = False
-    for d in dirs:
-        pts = x0[None, :] + ts[:, None] * d[None, :]
-        u_ray = np.asarray(energy_batch(pts), dtype=float)
-        barrier = float(np.max(u_ray) - u0)
-        if barrier < depth:
-            depth = barrier
-            k_max = int(np.argmax(u_ray))
-            lower_bound = bool(
-                k_max == n_samples - 1 and u_ray[-1] > u_ray[-2]
-                and np.isfinite(u_ray[-1])
-            )
-    return depth, lower_bound
+    pts = x0 + ts[None, :, None] * dirs[:, None, :]  # (rays, samples, 3)
+    u = np.asarray(energy_batch(pts.reshape(-1, 3)), dtype=float).reshape(len(dirs), -1)
+    barriers = u.max(axis=1) - u0
+    u_ray = u[np.argmin(barriers)]  # the first ray with the lowest barrier
+    lower_bound = bool(
+        np.argmax(u_ray) == n_samples - 1 and u_ray[-1] > u_ray[-2]
+        and np.isfinite(u_ray[-1])
+    )
+    return float(barriers.min()), lower_bound
 
 
 def characterize_trap(pdef: PotentialDef, seed_point, **minimum_kwargs) -> TrapCharacterization:

@@ -116,9 +116,9 @@ def test_discretization_convergence():
 def test_field_map_single_point_matches_field_at(thin_model):
     cur = CurrentConfig(dc={"w": 2.0})
     grid = GridSpec.from_ranges([0.0], [150e-6], [0.0])
-    samples = field_map(thin_model, cur, grid)
-    assert len(samples) == 1
-    assert samples[0].B == field_at(thin_model, cur, (0.0, 150e-6, 0.0)).B
+    B, J = field_map(thin_model, cur, grid)
+    assert B.shape == (1, 3) and J is None
+    assert tuple(B[0]) == field_at(thin_model, cur, (0.0, 150e-6, 0.0)).B
 
 
 def test_field_map_thread_count_bitwise_identical(paper_model, paper):
@@ -126,17 +126,34 @@ def test_field_map_thread_count_bitwise_identical(paper_model, paper):
     grid = GridSpec.from_ranges(
         np.linspace(-100e-6, 100e-6, 30), np.linspace(100e-6, 300e-6, 40), [0.0]
     )
-    one = field_map(paper_model, currents, grid, threads=1)
-    four = field_map(paper_model, currents, grid, threads=4)
-    assert all(a.B == b.B for a, b in zip(one, four))
+    one, _ = field_map(paper_model, currents, grid, threads=1)
+    four, _ = field_map(paper_model, currents, grid, threads=4)
+    assert one.tobytes() == four.tobytes()
 
 
 def test_field_map_rows_header(thin_model):
     cur = CurrentConfig(dc={"w": 2.0})
-    rows = field_map_csv_rows(field_map(thin_model, cur,
-                                        GridSpec.from_ranges([0.0], [150e-6], [0.0])))
+    grid = GridSpec.from_ranges([0.0], [150e-6], [0.0])
+    rows = field_map_csv_rows(grid.points(), field_map(thin_model, cur, grid)[0])
     assert rows[0] == "x_um,y_um,z_um,Bx_G,By_G,Bz_G,Bmag_G"
     assert len(rows) == 2
+
+
+def test_field_map_csv_matches_pointwise_samples(paper_model, paper):
+    # 1,230 points: the map's second work item starts mid-row
+    _, currents, _ = paper
+    grid = GridSpec.from_ranges(np.linspace(-100e-6, 100e-6, 41),
+                                np.linspace(50e-6, 300e-6, 30), [10e-6])
+    B, _ = field_map(paper_model, currents, grid, threads=2)
+    samples = [field_at(paper_model, currents, p) for p in grid.points()]
+    assert B.tobytes() == np.array([s.B for s in samples]).tobytes()
+    reference = ["x_um,y_um,z_um,Bx_G,By_G,Bz_G,Bmag_G"]
+    for s in samples:
+        x, y, z = (c * 1e6 for c in s.point)
+        bx, by, bz = (b * 1e4 for b in s.B)
+        reference.append(f"{x:.9g},{y:.9g},{z:.9g},{bx:.9g},{by:.9g},{bz:.9g},"
+                         f"{s.magnitude * 1e4:.9g}")
+    assert field_map_csv_rows(grid.points(), B) == reference
 
 
 def test_point_inside_conductor_rejected(paper_model, paper):
@@ -337,10 +354,11 @@ def test_div_curl_residuals_small_grid(thin_model):
     grid = GridSpec.from_ranges(
         np.linspace(-150e-6, 80e-6, 12), np.linspace(60e-6, 400e-6, 12), [0.0, 35e-6]
     )
-    for s in field_map(thin_model, cur, grid, with_jacobian=True):
-        norm = np.linalg.norm(s.grad_B)
-        assert abs(s.divergence) <= 1e-12 * norm
-        assert np.max(np.abs(s.curl)) < 1e-4 * norm
+    _, J = field_map(thin_model, cur, grid, with_jacobian=True)
+    norm = np.linalg.norm(J, axis=(1, 2))
+    assert np.all(np.abs(np.trace(J, axis1=1, axis2=2)) <= 1e-12 * norm)
+    # the off-diagonal entries of J - J^T are the curl components
+    assert np.all(np.max(np.abs(J - J.transpose(0, 2, 1)), axis=(1, 2)) < 1e-4 * norm)
 
 
 def test_divergence_free_even_with_open_leads(paper_model, paper):
@@ -349,8 +367,9 @@ def test_divergence_free_even_with_open_leads(paper_model, paper):
     grid = GridSpec.from_ranges(
         np.linspace(-150e-6, 80e-6, 8), np.linspace(60e-6, 400e-6, 8), [0.0]
     )
-    for s in field_map(paper_model, currents, grid, with_jacobian=True):
-        assert abs(s.divergence) <= 1e-12 * np.linalg.norm(s.grad_B)
+    _, J = field_map(paper_model, currents, grid, with_jacobian=True)
+    div = np.trace(J, axis1=1, axis2=2)
+    assert np.all(np.abs(div) <= 1e-12 * np.linalg.norm(J, axis=(1, 2)))
 
 
 def test_divergence_at_rounding_level_on_the_c2_grid():
@@ -368,11 +387,11 @@ def test_field_map_jacobian_bitwise_independent_of_threads(paper_model, paper):
     _, currents, _ = paper
     grid = GridSpec.from_ranges(np.linspace(-100e-6, 100e-6, 30),
                                 np.linspace(50e-6, 300e-6, 25), [0.0, 40e-6])
-    one = field_map(paper_model, currents, grid, threads=1, with_jacobian=True)
-    two = field_map(paper_model, currents, grid, threads=2, with_jacobian=True)
-    assert all(a.B == b.B and a.grad_B == b.grad_B for a, b in zip(one, two))
+    B1, J1 = field_map(paper_model, currents, grid, threads=1, with_jacobian=True)
+    B2, J2 = field_map(paper_model, currents, grid, threads=2, with_jacobian=True)
+    assert B1.tobytes() == B2.tobytes() and J1.tobytes() == J2.tobytes()
     B, J = paper_model.field_and_jacobian(currents, grid.points())
-    assert [s.grad_B for s in one] == [tuple(map(tuple, j.tolist())) for j in J]
+    assert B1.tobytes() == B.tobytes() and J1.tobytes() == J.tobytes()
     assert B.tobytes() == paper_model.field(currents, grid.points()).tobytes()
 
 

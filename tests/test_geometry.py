@@ -5,9 +5,9 @@ import pytest
 
 from atomchip.errors import ConfigError, GeometryError
 from atomchip.geometry import (
-    ChipLayout, CurrentConfig, WireSegmentPath, builtin_paper_layout,
+    ChipLayout, ConductorFrames, CurrentConfig, WireSegmentPath, builtin_paper_layout,
     central_section_only, discretize_wire, load_layout, parse_config,
-    point_inside_wire, serialize_config,
+    serialize_config,
 )
 from atomchip.reproduction import roughness_test_wire
 from atomchip.roughness import RandomDeviation, perturb_wire
@@ -248,11 +248,10 @@ def test_point_inside_wire():
     wire = WireSegmentPath(name="a", channel="a",
                            nodes=((0, -1.5e-6, -1e-3), (0, -1.5e-6, 1e-3)),
                            width=50e-6, thickness=3e-6)
-    assert point_inside_wire(wire, np.array([0.0, -1.5e-6, 0.0]))
-    assert point_inside_wire(wire, np.array([24e-6, -0.2e-6, 0.0]))
-    assert not point_inside_wire(wire, np.array([0.0, 5e-6, 0.0]))
-    assert not point_inside_wire(wire, np.array([26e-6, -1.5e-6, 0.0]))
-    assert not point_inside_wire(wire, np.array([0.0, -1.5e-6, 1.2e-3]))
+    points = np.array([[0.0, -1.5e-6, 0.0], [24e-6, -0.2e-6, 0.0], [0.0, 5e-6, 0.0],
+                       [26e-6, -1.5e-6, 0.0], [0.0, -1.5e-6, 1.2e-3]])
+    inside = ConductorFrames((wire,)).first_containing(points) >= 0
+    assert inside.tolist() == [True, True, False, False, False]
 
 
 def test_central_section_only_strips_leads(paper):

@@ -68,6 +68,29 @@ def test_thin_filament_height_oracle(thin_model, thin_currents, species):
     assert abs(tc.height_above_chip - oracle) < 1e-6
 
 
+def test_field_zero_with_gravity_is_the_minimum(thin_model, thin_currents, species):
+    # the cone's slope, zeeman_slope * 15.4 T/m, holds the atom against m g
+    # (~100x weaker), so the zero stays the minimum and 0 is a subgradient
+    pdef = magnetic_potential(thin_model, thin_currents, species, gravity=True)
+    tc = find_trap_minimum(pdef, (0, 150e-6, 0))
+    oracle = MU_0 * 2.0 / (2.0 * np.pi * 24.8 * GAUSS)
+    assert abs(tc.height_above_chip - oracle) < 1e-6
+    assert tc.grad_norm == 0.0
+
+
+def test_gravity_pulls_the_atom_off_a_shallow_cone(thin_model, species):
+    # 0.2 A against 0.6 G: the zero at 667 um has |grad B| = 0.09 T/m, less
+    # than m g / zeeman_slope = 0.153 T/m, so the atom sags until the wire's
+    # own gradient mu0 I / (2 pi y^2) carries its weight
+    pdef = magnetic_potential(thin_model, CurrentConfig(dc={"w": 0.2}, bias=(0.6 * GAUSS, 0, 0)),
+                              species, gravity=True)
+    tc = find_trap_minimum(pdef, (0, MU_0 * 0.2 / (2.0 * np.pi * 0.6 * GAUSS), 0))
+    weight = species.mass * np.linalg.norm(species.gravity)
+    sag = np.sqrt(MU_0 * 0.2 * species.zeeman_slope / (2.0 * np.pi * weight))
+    assert abs(tc.height_above_chip - sag) < 1e-6
+    assert tc.bottom_field > 1e-5  # 0.1 G: no longer a field zero
+
+
 def test_thin_filament_height_matches_finite_segment_root(thin_model, thin_currents, species):
     # the fixture's single 0.1 m filament gives |B_x| = mu0 I / (4 pi y) *
     # L / sqrt(L^2 / 4 + y^2) above its midpoint; the trap is where that
@@ -272,18 +295,78 @@ def test_saddle_detected(species):
 # trap_depth
 # ---------------------------------------------------------------------------
 
-def test_depth_of_clipped_harmonic(species):
-    u0 = 2.0e-27
+CLIP_U0 = 2.0e-27
 
+
+def isotropic_harmonic(species, clip=np.inf):
+    """500 Hz isotropic harmonic energy (no batch form), capped at ``clip``."""
     def energy(r):
         d = np.asarray(r, dtype=float)
         k = species.mass * (2 * np.pi * 500.0) ** 2
-        return float(min(0.5 * k * np.sum(d**2), u0))
+        return float(min(0.5 * k * np.sum(d**2), clip))
+
+    return PotentialDef(energy=energy, species=species)
+
+
+def per_ray_depth(pdef, minimum, axes=None, search_halfwidth=1e-3, n_samples=400):
+    """Reference for trap_depth: one energy_batch call per ray, keeping the
+    first ray with the lowest barrier."""
+    x0 = np.asarray(minimum, dtype=float)
+    u0 = pdef.energy(x0)
+    dirs = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(d)])
+    dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    if axes is not None:
+        dirs = dirs @ np.asarray(axes)
+    ts = np.linspace(search_halfwidth / n_samples, search_halfwidth, n_samples)
+    depth, lower_bound = np.inf, False
+    for d in dirs:
+        pts = x0[None, :] + ts[:, None] * d[None, :]
+        if pdef.energy_batch is None:
+            u_ray = np.array([pdef.energy(p) for p in pts])
+        else:
+            u_ray = np.asarray(pdef.energy_batch(pts), dtype=float)
+        barrier = float(np.max(u_ray) - u0)
+        if barrier < depth:
+            depth = barrier
+            lower_bound = bool(int(np.argmax(u_ray)) == n_samples - 1
+                               and u_ray[-1] > u_ray[-2] and np.isfinite(u_ray[-1]))
+    return depth, lower_bound
+
+
+def test_depth_of_clipped_harmonic(species):
+    pdef = isotropic_harmonic(species, clip=CLIP_U0)
+    depth, lower_bound = trap_depth(pdef, (0, 0, 0), search_halfwidth=200e-6)
+    assert depth == pytest.approx(CLIP_U0, rel=1e-6)
+    assert not lower_bound
+
+
+def test_depth_matches_per_ray_reference(paper_model, paper, species):
+    _, currents, _ = paper
+    pdef = magnetic_potential(paper_model, currents, species)
+    minimum = find_trap_minimum(pdef, (-42.5e-6, 150e-6, 0)).minimum
+    axes = trap_frequencies(pdef, minimum)[1]
+    assert trap_depth(pdef, minimum, axes=axes) == per_ray_depth(pdef, minimum, axes=axes)
+    for pdef, halfwidth in ((isotropic_harmonic(species, clip=CLIP_U0), 200e-6),
+                            (isotropic_harmonic(species), 100e-6)):
+        assert (trap_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth)
+                == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth))
+
+
+def test_depth_tie_goes_to_the_first_ray(species):
+    # every ray tops out at the same cap; the nine x < 0 rays, first in
+    # stencil order, reach it only at the last sample, still climbing
+    halfwidth = 100e-6
+    k = species.mass * (2 * np.pi * 500.0) ** 2
+    cap = 0.5 * k * halfwidth**2 * (1.0 - 1.0 / 400)
+
+    def energy(r):
+        d = np.asarray(r, dtype=float)
+        stiffness = k if d[0] < 0 else 100.0 * k
+        return float(min(0.5 * stiffness * np.sum(d**2), cap))
 
     pdef = PotentialDef(energy=energy, species=species)
-    depth, lower_bound = trap_depth(pdef, (0, 0, 0), search_halfwidth=200e-6)
-    assert depth == pytest.approx(u0, rel=1e-6)
-    assert not lower_bound
+    assert (trap_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth)
+            == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth) == (cap, True))
 
 
 def test_depth_unit_identity(paper_model, paper, species):
@@ -310,11 +393,6 @@ def test_no_minimum_reported_as_convergence_failure(species):
 
 def test_depth_lower_bound_flag(species):
     # monotonically rising potential: every ray still climbs at the edge
-    def energy(r):
-        d = np.asarray(r, dtype=float)
-        k = species.mass * (2 * np.pi * 500.0) ** 2
-        return float(0.5 * k * np.sum(d**2))
-
-    depth, lower_bound = trap_depth(PotentialDef(energy=energy, species=species),
-                                    (0, 0, 0), search_halfwidth=100e-6)
+    depth, lower_bound = trap_depth(isotropic_harmonic(species), (0, 0, 0),
+                                    search_halfwidth=100e-6)
     assert lower_bound
