@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import integrate, special
 
-from atomchip.constants import BOHR_MAGNETON, BOLTZMANN, GAUSS, PLANCK
+from atomchip.constants import BOHR_MAGNETON, BOLTZMANN, GAUSS, MU_0, PLANCK
 from atomchip.errors import ChipError, ConfigError, GeometryError
 from atomchip.geometry import WireSegmentPath
+from atomchip.reproduction import roughness_test_wire
 from atomchip.roughness import (
     RandomDeviation, SinusoidDeviation, TriangleDeviation,
     contact_interaction_constant, invert_density_boltzmann,
@@ -127,6 +129,57 @@ def test_delta_v_is_slope_times_delta_bz(straight_wire, species):
                            species=species, n_width=4, n_thickness=1)
     assert max(abs(b) for b in prof.delta_Bz) > 0.0
     assert prof.delta_V == tuple((species.zeeman_slope * np.asarray(prof.delta_Bz)).tolist())
+
+
+def esteve_delta_bz(wire, dev, current, height, z):
+    """First-order dB_z of the meander a sin(kz + phi) of a straight wire
+    along z, on the line ``height`` above its centreline.
+
+    Esteve et al., PRA 70, 043629 (2004): an infinite filament at depth d
+    and lateral offset x gives (mu0 I / 2 pi) a k^2 K1(k rho) (d / rho)
+    cos(kz + phi), rho = hypot(x, d), averaged here over the cross-section
+    by Gauss-Legendre quadrature.  The wire ends at |z| = L, so the centre
+    filament's part beyond the ends, (mu0 I / 4 pi) a k d0 times the
+    integral of cos(kz' + phi) / (d0^2 + (z - z')^2)^1.5 over |z'| > L, is
+    subtracted.
+    """
+    k = 2.0 * np.pi / dev.period
+    y_c = wire.nodes[0][1]
+    half_length = max(abs(p[2]) for p in wire.nodes)
+    gx, wx = np.polynomial.legendre.leggauss(16)
+    gy, wy = np.polynomial.legendre.leggauss(4)
+    d = height - (y_c + gy * wire.thickness / 2.0)
+    rho = np.hypot((gx * wire.width / 2.0)[:, None], d[None, :])
+    transfer = np.sum(np.outer(wx, wy) / 4.0 * special.k1(k * rho) * d / rho)
+    scale = MU_0 * current / (2.0 * np.pi) * dev.amplitude * k
+    infinite = scale * k * transfer * np.cos(k * z + dev.phase)
+
+    d0 = height - y_c
+
+    def beyond(c, psi):
+        """Integral over v > 0 of cos(kv + psi) / (d0^2 + (c + v)^2)^1.5."""
+        def g(v):
+            return (d0 * d0 + (c + v) ** 2) ** -1.5
+        return (np.cos(psi) * integrate.quad(g, 0.0, np.inf, weight="cos", wvar=k)[0]
+                - np.sin(psi) * integrate.quad(g, 0.0, np.inf, weight="sin", wvar=k)[0])
+
+    tails = np.array([beyond(half_length - zi, k * half_length + dev.phase)
+                      + beyond(half_length + zi, k * half_length - dev.phase) for zi in z])
+    return infinite - scale * d0 / 2.0 * tails
+
+
+@pytest.mark.parametrize("period, height, amplitude, phase", [
+    (200e-6, 100e-6, 50e-9, 0.7),
+    (800e-6, 200e-6, 200e-9, 2.1),
+])
+def test_sinusoid_matches_esteve_transfer_function(species, period, height, amplitude, phase):
+    # 0.17% of peak is the 5 um resampling of the 200 um sinusoid
+    wire = roughness_test_wire()
+    z = np.linspace(-400e-6, 400e-6, 81)
+    dev = SinusoidDeviation(amplitude, period, phase)
+    prof = roughness_field(wire, dev, current=2.0, height=height, z_values=z, species=species)
+    oracle = esteve_delta_bz(wire, dev, 2.0, height, z)
+    assert np.max(np.abs(np.asarray(prof.delta_Bz) - oracle)) <= 5e-3 * np.max(np.abs(oracle))
 
 
 def test_rows_header(straight_wire, species):

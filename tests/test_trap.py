@@ -340,16 +340,124 @@ def test_depth_of_clipped_harmonic(species):
     assert not lower_bound
 
 
-def test_depth_matches_per_ray_reference(paper_model, paper, species):
-    _, currents, _ = paper
-    pdef = magnetic_potential(paper_model, currents, species)
-    minimum = find_trap_minimum(pdef, (-42.5e-6, 150e-6, 0)).minimum
-    axes = trap_frequencies(pdef, minimum)[1]
-    assert trap_depth(pdef, minimum, axes=axes) == per_ray_depth(pdef, minimum, axes=axes)
+def counting_batches(pdef):
+    """``pdef`` with an ``energy_batch`` (made from ``energy`` if missing)
+    that appends each call's points to the returned list."""
+    batch = pdef.energy_batch or (lambda pts: [pdef.energy(p) for p in pts])
+    calls = []
+
+    def energy_batch(points):
+        calls.append(np.array(points))
+        return batch(points)
+
+    return replace(pdef, energy_batch=energy_batch), calls
+
+
+def test_depth_matches_per_ray_reference(species):
     for pdef, halfwidth in ((isotropic_harmonic(species, clip=CLIP_U0), 200e-6),
                             (isotropic_harmonic(species), 100e-6)):
         assert (trap_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth)
                 == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth))
+
+
+@pytest.mark.parametrize("amps, bias_g, ioffe_g", _builtin_operating_points())
+def test_depth_at_operating_points_matches_per_ray_reference(paper_model, paper, species,
+                                                             amps, bias_g, ioffe_g):
+    _, builtin, _ = paper
+    cur = replace(builtin.with_dc(z2=amps), bias=(bias_g * GAUSS, 0.0, ioffe_g * GAUSS))
+    pdef, calls = counting_batches(magnetic_potential(paper_model, cur, species))
+    seed = (-42.5e-6, MU_0 * amps / (2.0 * np.pi * bias_g * GAUSS), 0.0)
+    minimum = find_trap_minimum(pdef, seed).minimum
+    axes = trap_frequencies(pdef, minimum)[1]
+    calls.clear()
+    result = trap_depth(pdef, minimum, axes=axes)
+    points = sum(len(c) for c in calls)
+    assert result == per_ray_depth(pdef, minimum, axes=axes)
+    assert points <= 1500  # of 26 x 400
+
+
+def ray_potential(species, profile):
+    """U(r) = profile(ray, |r|), ray the index of the stencil direction
+    nearest r_hat, so each ray of trap_depth about 0 has its own profile."""
+    dirs = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(d)])
+    dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+    def batch(points):
+        r = np.atleast_2d(np.asarray(points, dtype=float))
+        return profile(np.argmax(r @ dirs.T, axis=1), np.linalg.norm(r, axis=1))
+
+    return PotentialDef(energy=lambda r: float(batch(r)[0]), species=species,
+                        energy_batch=batch)
+
+
+def bumped_rays(species, cap, halfwidth=100e-6):
+    """Rays rising as slope t (1 + ray / 100), capped at ``cap``, except the
+    +x ray (index 21): slope t / 2 plus a bump of 10 slope halfwidth at its
+    sample 7, narrower than the sample spacing, so that only its full
+    evaluation sees the bump."""
+    slope = species.zeeman_slope * 1e-2  # 1 G/cm
+    spacing = halfwidth / 400
+    t7 = np.linspace(spacing, halfwidth, 400)[7]
+
+    def profile(ray, t):
+        bump = 10.0 * slope * halfwidth * np.exp(-((t - t7) / (0.3 * spacing)) ** 2)
+        u = np.where(ray == 21, 0.5 * slope * t + bump, slope * t * (1.0 + ray / 100.0))
+        return np.minimum(u, cap)
+
+    return ray_potential(species, profile), slope * halfwidth
+
+
+def test_depth_bump_between_coarse_samples_loses(species):
+    # +x has the lowest coarse bound but the bump is its barrier; ray 0
+    # then wins, still climbing at the edge, and ray 1's bound is higher
+    pdef, calls = counting_batches(bumped_rays(species, cap=np.inf)[0])
+    result = trap_depth(pdef, (0, 0, 0), search_halfwidth=100e-6)
+    work = list(calls)
+    assert result == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=100e-6)
+    assert result[0] == pytest.approx(species.zeeman_slope * 1e-2 * 100e-6) and result[1]
+    assert [len(c) for c in work] == [650, 375, 375]  # coarse pass, two rays completed
+    assert np.all(work[1][:, 1:] == 0.0) and np.all(work[1][:, 0] > 0.0)  # +x first
+
+
+def test_depth_bound_tying_the_best_barrier_is_completed(species):
+    # +x tops out at the cap at its bump and is completed first; ray 0's
+    # bound ties that barrier, and ray 0, reaching the cap only at its last
+    # sample, wins the tie by stencil order.  Rays 1-20 and 22-25 tie from
+    # later indices and are skipped.
+    cap = species.zeeman_slope * 1e-2 * 100e-6 * (1.0 - 0.5 / 400)
+    pdef, calls = counting_batches(bumped_rays(species, cap=cap)[0])
+    result = trap_depth(pdef, (0, 0, 0), search_halfwidth=100e-6)
+    work = list(calls)
+    assert result == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=100e-6) == (cap, True)
+    assert [len(c) for c in work] == [650, 375, 375]
+
+
+def test_depth_every_barrier_infinite(species):
+    # finite only at the minimum: ray 0 sets the result
+    def energy(r):
+        return np.inf if np.any(r) else 0.0
+
+    pdef, calls = counting_batches(PotentialDef(energy=energy, species=species))
+    result = trap_depth(pdef, (0, 0, 0))
+    assert len(calls) == 2
+    assert result == per_ray_depth(pdef, (0, 0, 0)) == (np.inf, False)
+
+
+def test_depth_ray_completed_inside_a_conductor(thin_model, species):
+    # reversed bias: the field zero lies 161 um below the wire and the start
+    # 161 um above it.  With two samples the downward ray's coarse point is
+    # the zero, the lowest bound, and its one remaining sample is the wire
+    # centre, so its field call is empty and its barrier infinite
+    height = MU_0 * 2.0 / (2.0 * np.pi * 24.8 * GAUSS)
+    cur = CurrentConfig(dc={"w": 2.0}, bias=(-24.8 * GAUSS, 0.0, 0.0))
+    pdef, calls = counting_batches(magnetic_potential(thin_model, cur, species))
+    x0, kw = (0.0, height, 0.0), dict(search_halfwidth=2.0 * height, n_samples=2)
+    result = trap_depth(pdef, x0, **kw)
+    work = list(calls)
+    assert result == per_ray_depth(pdef, x0, **kw)
+    assert np.isfinite(result[0])
+    assert len(work) >= 3 and len(work[1]) == 1
+    assert thin_model.conductor_index(work[1])[0] == 0
 
 
 def test_depth_tie_goes_to_the_first_ray(species):
