@@ -34,7 +34,7 @@ from .errors import (
     ChipError, ConvergenceError, FieldDomainError, FieldZeroError, SaddlePointError,
 )
 from .fields import BiotSavartModel
-from .geometry import AtomSpecies, CurrentConfig, Vec3
+from .geometry import AtomSpecies, CurrentConfig, Vec3, _dot3
 
 GRAD_TOL = 1e-26       # J/m
 _STEP_TOL = 1e-13      # m
@@ -83,7 +83,7 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
         outside = model.conductor_index(points) < 0
         u = np.full(len(points), np.inf)
         B = model.field(currents, points[outside], check_domain=False)
-        u[outside] = species.zeeman_slope * np.linalg.norm(B, axis=1)
+        u[outside] = species.zeeman_slope * np.sqrt(_dot3(B, B))  # rounds as energy's norm
         if gravity:
             u = u - species.mass * (points @ g)
         return u

@@ -57,6 +57,17 @@ def test_gravity_additivity(thin_model, species):
     assert du == pytest.approx(species.mass * 9.80665 * delta, rel=1e-9)
 
 
+@pytest.mark.parametrize("gravity", [False, True])
+def test_energy_batch_matches_energy_bitwise(paper_model, paper, species, gravity):
+    # trap_depth subtracts a single-point U from batch energies
+    _, currents, _ = paper
+    pdef = magnetic_potential(paper_model, currents, species, gravity=gravity)
+    x, y = np.meshgrid(np.linspace(-300e-6, 200e-6, 20), np.linspace(20e-6, 400e-6, 20))
+    grid = np.column_stack([x.ravel(), y.ravel(), np.full(400, 30e-6)])
+    single = np.array([pdef.energy(p) for p in grid])
+    assert np.array_equal(pdef.energy_batch(grid), single)
+
+
 # ---------------------------------------------------------------------------
 # find_trap_minimum
 # ---------------------------------------------------------------------------
