@@ -413,18 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, out_required=True):
-        if config:
-            _add(p, "--config", default=None,
-                 help="config JSON path, or 'builtin' for the six-wire chip (default)")
+    def common(p, out_required=True, filaments=True):
+        _add(p, "--config", default=None,
+             help="config JSON path, or 'builtin' for the six-wire chip (default)")
         _add(p, "--out", required=out_required, default=None, help="output directory")
         _add(p, "--force", action="store_true", help="overwrite existing outputs")
-        _add(p, "--threads", type=int, default=1, help="worker cap (results identical)")
-        _add(p, "--n-width", type=int, default=8, help="filaments across the width")
-        _add(p, "--n-thickness", type=int, default=3, help="filaments across the thickness")
+        if filaments:
+            _add(p, "--n-width", type=int, default=8, help="filaments across the width")
+            _add(p, "--n-thickness", type=int, default=3,
+                 help="filaments across the thickness")
 
-    p = sub.add_parser("field-map", parents=[], help="field over a lattice -> CSV")
+    p = sub.add_parser("field-map", help="field over a lattice -> CSV")
     common(p)
+    _add(p, "--threads", type=int, default=1, help="worker cap (results identical)")
     _add(p, "--x", default="-500:500:101", help="x range um MIN:MAX:COUNT")
     _add(p, "--y", default="30:1030:101", help="y range um MIN:MAX:COUNT")
     _add(p, "--z", default="0:0:1", help="z range um MIN:MAX:COUNT")
@@ -464,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roughness)
 
     p = sub.add_parser("invert-density", help="density profile -> potential CSV")
-    common(p)
+    common(p, filaments=False)
     _add(p, "--input", required=True, help="CSV with columns z_um,n_per_um")
     _add(p, "--method", choices=("boltzmann", "thomas-fermi"), default="boltzmann")
     _add(p, "--temperature-uK", dest="temperature_uk", type=float, default=None)

@@ -34,7 +34,7 @@ class FieldZeroError(ChipError):
 
 
 class ThermalRunawayError(ChipError):
-    """Self-heating has no finite fixed point at the requested current."""
+    """Self-heating has no finite steady rise at the requested current."""
 
 
 class FitError(ChipError):

@@ -44,7 +44,6 @@ class RunManifest:
     command: str
     config: str | None = None
     overrides: Mapping[str, Any] = field(default_factory=dict)
-    outputs: tuple[str, ...] = ()
     seed: int | None = None
     tool_version: str = __version__
     timestamp: str = ""
@@ -52,10 +51,10 @@ class RunManifest:
     @classmethod
     def create(cls, command: str, config: str | None = None,
                overrides: Mapping[str, Any] | None = None,
-               outputs: tuple[str, ...] = (), seed: int | None = None) -> "RunManifest":
+               seed: int | None = None) -> "RunManifest":
         return cls(
             command=command, config=config, overrides=dict(overrides or {}),
-            outputs=outputs, seed=seed,
+            seed=seed,
             timestamp=datetime.now(tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         )
 

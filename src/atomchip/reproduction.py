@@ -34,6 +34,7 @@ from .roughness import (
 )
 from .thermal import (
     fast_time_constant, max_current_density, paper_calibrated_network, paper_wire,
+    steady_temperature,
 )
 from .trap import find_trap_minimum, magnetic_potential
 
@@ -301,7 +302,6 @@ def check_thermal() -> list[CheckRow]:
     w50 = paper_wire(width=50e-6)
     w100 = paper_wire(width=100e-6)
     j100 = max_current_density(w100, net)
-    from .thermal import steady_temperature
     i_cal = 8.8e9 * w50.cross_section_area
     dt_small = steady_temperature(w50, 0.1 * i_cal, net)
     dt_ref = steady_temperature(w50, 0.001 * i_cal, net)

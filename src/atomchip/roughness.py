@@ -151,13 +151,12 @@ def profile_csv_rows(z_um, delta_Bz, delta_V, ratio) -> list[str]:
 
 def roughness_field(wire: WireSegmentPath, deviation, current: float, height: float,
                     z_values, species: AtomSpecies,
-                    n_width: int = 8, n_thickness: int = 3,
-                    resample_step: float = 5e-6, x_eval: float | None = None) -> RoughnessProfile:
+                    n_width: int = 8, n_thickness: int = 3) -> RoughnessProfile:
     """dB_z(z) of the perturbed wire minus the straight wire at fixed height.
 
     Both wires are resampled identically, so a zero deviation gives exactly
     zero.  The evaluation line sits ``height`` above the chip surface at the
-    unperturbed centerline x (overridable via ``x_eval``); dV is
+    unperturbed centerline x nearest z = 0; dV is
     zeeman_slope * dB_z, the potential change of a trap whose bottom field
     lies along z (Esteve et al., PRA 70, 043629 (2004)), and ratio_to_main
     divides dB_z by the straight wire's field magnitude pointwise.
@@ -165,17 +164,15 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
     if height <= 0.0:
         raise ConfigError("evaluation height must be > 0")
     z_values = np.asarray(z_values, dtype=float)
-    if x_eval is None:
-        # centerline x nearest z = 0: the trap sits above the central section,
-        # not above the lead endpoints
-        pts = wire.points
-        x_eval = float(pts[np.argmin(np.abs(pts[:, 2])), 0])
+    # the trap sits above the central section, not above the lead endpoints
+    pts = wire.points
+    x_eval = float(pts[np.argmin(np.abs(pts[:, 2])), 0])
     points = np.column_stack([
         np.full_like(z_values, x_eval), np.full_like(z_values, height), z_values
     ])
 
-    straight = perturb_wire(wire, None, step=resample_step)
-    bent = perturb_wire(wire, deviation, step=resample_step)
+    straight = perturb_wire(wire, None)
+    bent = perturb_wire(wire, deviation)
     currents = CurrentConfig(dc={wire.channel: current})
     return _roughness_from_wires(straight, bent, currents, points, z_values, species,
                                  n_width, n_thickness)

@@ -3,9 +3,11 @@
 Heat path: wire -> 100 nm SiO2 layer (dominant barrier, sets the fast
 microsecond transient) -> silicon substrate (2D spreading) -> mounting
 structure (single lumped resistance, calibrated).  Self-heating feedback
-enters through rho(T) = rho0 (1 + alpha_R dT); the steady state solves
-dT = P(dT) R_total by fixed-point iteration and diverges (thermal runaway)
-when alpha_R * rho0 J^2 A R_total >= 1.
+enters through rho(T) = rho0 (1 + alpha_R dT).  The steady balance
+dT = beta (1 + alpha_R dT), with beta = rho0 J^2 A R_total, is linear in
+dT: its root beta / (1 - alpha_R beta) diverges at thermal runaway,
+alpha_R beta = 1, and its inverse beta = dT / (1 + alpha_R dT) gives
+J_max and the mount calibration in closed form.
 
 Material constants are handbook values for gold on oxidized silicon; the
 resistivity coefficient alpha_R = 0.50 / 150 K encodes the calibration
@@ -79,13 +81,17 @@ def _self_heating_parameter(wire: WireSegmentPath, current: float,
     return network.rho0 * (current / area) ** 2 * area * network.total_resistance_per_length(wire)
 
 
+def _beta_for_rise(network: ThermalNetwork, delta_T: float) -> float:
+    """beta whose steady rise is ``delta_T``: the balance solved for beta."""
+    return delta_T / (1.0 + network.alpha_R * delta_T)
+
+
 def steady_temperature(wire: WireSegmentPath, current: float,
-                       network: ThermalNetwork, rtol: float = 1e-12,
-                       max_iter: int = 500) -> float:
+                       network: ThermalNetwork) -> float:
     """Self-consistent steady temperature rise dT (K) at the given current.
 
-    Solves dT = beta (1 + alpha dT) by fixed-point iteration; raises
-    ThermalRunawayError when alpha*beta >= 1 (no finite fixed point).
+    The root beta / (1 - alpha beta) of dT = beta (1 + alpha dT); raises
+    ThermalRunawayError when alpha*beta >= 1 (no finite root).
     """
     if current < 0.0:
         raise ConfigError("current must be >= 0")
@@ -97,17 +103,11 @@ def steady_temperature(wire: WireSegmentPath, current: float,
             f"thermal runaway at {current:.4g} A "
             f"(alpha*beta = {network.alpha_R * beta:.4g} >= 1)"
         )
-    dT = beta
-    for _ in range(max_iter):
-        nxt = beta * (1.0 + network.alpha_R * dT)
-        if abs(nxt - dT) <= rtol * max(nxt, 1.0):
-            return nxt
-        dT = nxt
-    return dT
+    return beta / (1.0 - network.alpha_R * beta)
 
 
 def runaway_current(wire: WireSegmentPath, network: ThermalNetwork) -> float:
-    """Current at which alpha*beta = 1 and the fixed point disappears."""
+    """Current at which alpha*beta = 1 and the steady root disappears."""
     area = wire.cross_section_area
     beta_unit = network.rho0 / area * network.total_resistance_per_length(wire)
     return math.sqrt(1.0 / (network.alpha_R * beta_unit))
@@ -117,24 +117,15 @@ def max_current_density(wire: WireSegmentPath, network: ThermalNetwork,
                         delta_T_limit: float = 150.0) -> float:
     """J_max (A/m^2) bringing the steady rise to ``delta_T_limit``.
 
-    Bisection on the current; dT sweeps [0, inf) continuously below the
-    runaway current, so the limit is always reached first.
+    beta = rho0 J^2 A R'_total solved for J at the beta whose rise is the
+    limit; that beta stays below 1/alpha, so J_max lies below runaway.
     """
     if delta_T_limit <= 0.0:
         raise ConfigError("delta_T_limit must be > 0")
-    lo, hi = 0.0, runaway_current(wire, network) * (1.0 - 1e-12)
-    if steady_temperature(wire, hi, network) < delta_T_limit:
-        # unreachable below runaway; cannot happen for dT = beta/(1-alpha beta)
-        return hi / wire.cross_section_area
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if steady_temperature(wire, mid, network) < delta_T_limit:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi) / wire.cross_section_area
+    beta_limit = _beta_for_rise(network, delta_T_limit)
+    area = wire.cross_section_area
+    return math.sqrt(beta_limit / (network.rho0 * area
+                                   * network.total_resistance_per_length(wire)))
 
 
 def fast_time_constant(wire: WireSegmentPath, network: ThermalNetwork) -> float:
@@ -190,7 +181,7 @@ def calibrate_mount(network: ThermalNetwork, wire: WireSegmentPath,
     other widths then become genuine predictions.  Recalibrating with the
     calibration point itself reproduces the same network.
     """
-    beta_required = delta_T / (1.0 + network.alpha_R * delta_T)
+    beta_required = _beta_for_rise(network, delta_T)
     area = wire.cross_section_area
     r_total = beta_required / (network.rho0 * j_max**2 * area)
     r_mount = (r_total

@@ -31,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    ChipError, ConvergenceError, FieldDomainError, FieldZeroError, SaddlePointError,
+    ChipError, ConfigError, ConvergenceError, FieldDomainError, FieldZeroError,
+    SaddlePointError,
 )
 from .fields import BiotSavartModel
 from .geometry import AtomSpecies, CurrentConfig, Vec3, _dot3
@@ -40,6 +41,7 @@ GRAD_TOL = 1e-26       # J/m
 _STEP_TOL = 1e-13      # m
 _JACOBIAN_STEP = 1e-6  # m, central difference of J in the Hessian
 _INITIAL_RADIUS = 10e-6  # m, first trust radius of the minimum search
+_DOMAIN_HALFWIDTH = 500e-6  # m, half-width of the seed-centred search box
 _MAX_ITERATIONS = 200
 _RANGE_RTOL = 1e-9  # relative residual of m g = J^T v that counts as in range
 
@@ -163,25 +165,23 @@ class TrapCharacterization:
                 raise ValueError("axes must be orthonormal within 1e-10")
 
 
-def find_trap_minimum(pdef: PotentialDef, seed_point,
-                      domain_halfwidth: float = 500e-6,
-                      grad_tol: float = GRAD_TOL) -> TrapCharacterization:
+def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
     """Local minimizer of U near ``seed_point`` by one trust-region Newton
     solve.
 
     Each step is the Newton step where U's Hessian is positive definite and
     the steepest descent direction otherwise, clipped to a radius that
     doubles when the step lowers U and shrinks when it does not; points in
-    a conductor or outside the seed-centred domain box count as infinite U.
+    a conductor or outside the 1 mm box centred on the seed count as infinite U.
     The solve stops when a step falls below 1e-13 m: a gradient stop would
     accept any point of a soft axis (the builtin trap's axial curvature,
     5e-24 J/m^2, meets 1e-26 J/m within +-2 mm).  Raises ConvergenceError
-    if |grad U| then exceeds ``grad_tol`` or the point sits on the box wall.
+    if |grad U| then exceeds ``GRAD_TOL`` or the point sits on the box wall.
     """
     if pdef.gradient is None or pdef.hessian is None:
         raise TypeError("the potential defines no gradient and Hessian")
     seed = np.asarray(seed_point, dtype=float)
-    lo, hi = seed - domain_halfwidth, seed + domain_halfwidth
+    lo, hi = seed - _DOMAIN_HALFWIDTH, seed + _DOMAIN_HALFWIDTH
 
     def U(x: np.ndarray) -> float:
         if np.any(x < lo) or np.any(x > hi):
@@ -214,10 +214,10 @@ def find_trap_minimum(pdef: PotentialDef, seed_point,
             radius = length / 4.0
     else:
         raise ConvergenceError("no trap minimum found within the iteration budget")
-    if not gnorm <= grad_tol:
+    if not gnorm <= GRAD_TOL:
         raise ConvergenceError(
-            f"search stalled at |grad U| = {gnorm:.3g} J/m > {grad_tol:.3g} J/m")
-    if np.any(np.abs(x - seed) >= domain_halfwidth * (1.0 - 1e-9)):
+            f"search stalled at |grad U| = {gnorm:.3g} J/m > {GRAD_TOL:.3g} J/m")
+    if np.any(np.abs(x - seed) >= _DOMAIN_HALFWIDTH * (1.0 - 1e-9)):
         raise ConvergenceError("trap minimum escaped the search domain")
 
     bottom = float("nan") if pdef.field is None else float(np.linalg.norm(pdef.field(x)))
@@ -294,6 +294,8 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
     does not depend on the batch it is evaluated in, so the result equals
     that of evaluating all 26 x ``n_samples`` points, bit for bit.
     """
+    if n_samples < 2:
+        raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
     x0 = np.asarray(minimum, dtype=float)
     u0 = pdef.energy(x0)
     energy_batch = pdef.energy_batch
@@ -327,9 +329,9 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
     return float(best), lower_bound
 
 
-def characterize_trap(pdef: PotentialDef, seed_point, **minimum_kwargs) -> TrapCharacterization:
+def characterize_trap(pdef: PotentialDef, seed_point) -> TrapCharacterization:
     """Full characterization: minimum, bottom field, frequencies, depth."""
-    base = find_trap_minimum(pdef, seed_point, **minimum_kwargs)
+    base = find_trap_minimum(pdef, seed_point)
     freqs, axes = trap_frequencies(pdef, base.minimum)
     depth, lb = trap_depth(pdef, base.minimum, axes=axes)
     return TrapCharacterization(

@@ -125,6 +125,19 @@ def test_usage_error_exit_code():
     assert run(["trap", "--bogus-flag", "1"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["trap", "--threads", "2"],
+    ["split-scan", "--threads", "2"],
+    ["roughness", "--threads", "2"],
+    ["invert-density", "--input", "density.csv", "--n-width", "2"],
+])
+def test_options_a_command_ignores_are_usage_errors(args, tmp_path):
+    # only field-map and reproduce-paper take --threads; invert-density
+    # builds no wire model, so it takes no filament counts
+    out = [] if args[0] == "trap" else ["--out", str(tmp_path)]
+    assert run(args + out) == 2
+
+
 def test_unknown_flag_suggestion(capsys):
     run(["trap", "--seed-poit", "0,150,0"])
     err = capsys.readouterr().err

@@ -73,6 +73,26 @@ def test_steady_monotone_and_continuous(network, w50):
     assert max(abs(b - a) for a, b in zip(vals, vals[1:])) < 0.2
 
 
+def test_steady_root_near_runaway(network, w50):
+    # 0.999 of the runaway current: alpha*beta = 0.998, so an iteration
+    # dT <- beta (1 + alpha dT) would need ~10^4 steps to settle
+    current = 0.999 * runaway_current(w50, network)
+    area = w50.cross_section_area
+    beta = network.rho0 * (current / area) ** 2 * area \
+        * network.total_resistance_per_length(w50)
+    dt = steady_temperature(w50, current, network)
+    assert dt == pytest.approx(beta * (1.0 + network.alpha_R * dt), rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [30e-6, 50e-6, 100e-6, 200e-6])
+@pytest.mark.parametrize("limit", [150.0, 300.0])
+def test_jmax_reaches_the_limit(network, width, limit):
+    wire = paper_wire(width=width)
+    j_max = max_current_density(wire, network, delta_T_limit=limit)
+    current = j_max * wire.cross_section_area
+    assert steady_temperature(wire, current, network) == pytest.approx(limit, rel=1e-9)
+
+
 def test_runaway_reported_distinctly(network, w50):
     with pytest.raises(ThermalRunawayError):
         steady_temperature(w50, 1.01 * runaway_current(w50, network), network)

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from atomchip.constants import BOHR_MAGNETON, GAUSS, MU_0, PLANCK
-from atomchip.errors import ConvergenceError, FieldZeroError, SaddlePointError
+from atomchip.errors import ConfigError, ConvergenceError, FieldZeroError, SaddlePointError
 from atomchip.fields import BiotSavartModel, field_jacobian
 from atomchip.geometry import ChipLayout, CurrentConfig, WireSegmentPath, rb87_f2m2
 from atomchip.trap import (
@@ -349,6 +349,13 @@ def test_depth_of_clipped_harmonic(species):
     depth, lower_bound = trap_depth(pdef, (0, 0, 0), search_halfwidth=200e-6)
     assert depth == pytest.approx(CLIP_U0, rel=1e-6)
     assert not lower_bound
+
+
+@pytest.mark.parametrize("n_samples", [1, 0])
+def test_depth_rejects_fewer_than_two_samples(species, n_samples):
+    pdef = isotropic_harmonic(species, clip=CLIP_U0)
+    with pytest.raises(ConfigError, match=f"got {n_samples}"):
+        trap_depth(pdef, (0, 0, 0), n_samples=n_samples)
 
 
 def counting_batches(pdef):
