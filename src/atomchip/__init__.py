@@ -6,7 +6,7 @@ from .errors import (
     ChipError, ConfigError, ConvergenceError, FieldDomainError, FieldZeroError, FitError,
     GeometryError, SaddlePointError, ThermalRunawayError,
 )
-from .fields import BiotSavartModel, FieldSample, GridSpec, field_at, field_jacobian, field_map
+from .fields import BiotSavartModel, GridSpec, field_map
 from .fringes import (
     FringeFitResult, FringeModel, GaussianEnvelope, PhaseEnsembleStats,
     end_to_end_shot, fit_modulated_gaussian, fringe_period, phase_ensemble,
@@ -35,5 +35,5 @@ from .thermal import (
 )
 from .trap import (
     PotentialDef, TrapCharacterization, characterize_trap, find_trap_minimum,
-    magnetic_potential, potential_at, trap_depth, trap_frequencies,
+    magnetic_potential, trap_depth, trap_frequencies,
 )

@@ -53,26 +53,6 @@ _ROUNDING_SLACK = 1e-12  # m, margin of the conductor test's height prefilter
 _ONLINE_EPS = 1e-24  # (rho/L)^2 threshold: point on a segment's line contributes 0
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Field vector (and optionally its Jacobian) at one point, SI units."""
-
-    point: tuple[float, float, float]
-    B: tuple[float, float, float]
-    magnitude: float
-    grad_B: tuple[tuple[float, float, float], ...] | None = None  # dB_i/dx_j
-
-    @classmethod
-    def make(cls, point, B, grad=None) -> "FieldSample":
-        B = tuple(float(b) for b in B)
-        return cls(
-            point=tuple(float(c) for c in point),
-            B=B,
-            magnitude=float(np.linalg.norm(B)),
-            grad_B=None if grad is None else tuple(tuple(float(v) for v in row) for row in grad),
-        )
-
-
 class _SegmentTable(NamedTuple):
     """One channel's segments, laid out for the kernel: one row per
     coordinate, one column per segment."""
@@ -85,7 +65,7 @@ class _SegmentTable(NamedTuple):
 
     @classmethod
     def build(cls, starts: np.ndarray, ends: np.ndarray,
-              weights: np.ndarray) -> "_SegmentTable":
+              fraction: float) -> "_SegmentTable":
         seg = ends - starts
         d = (seg / np.einsum("ij,ij->i", seg, seg)[:, None]).T
         return cls(
@@ -93,7 +73,7 @@ class _SegmentTable(NamedTuple):
                 np.concatenate([ends, ends[:, :2], starts, starts[:, :2]], axis=1).T
             ).reshape(2, 5, -1),
             d_xzy=d[[0, 2, 1]], d_zxy=d[[2, 0, 1]], d_yzx=d[[1, 2, 0]],
-            scale=(1e-7 * weights)[:, None],
+            scale=np.full((len(seg), 1), 1e-7 * fraction),
         )
 
 
@@ -215,17 +195,13 @@ class BiotSavartModel:
         self._frames = ConductorFrames(layout.wires)
         self._channels: dict[str, _SegmentTable] = {}
         for channel in layout.channels:
-            starts, ends, weights = [], [], []
-            for wire in layout.wires:
-                if wire.channel != channel:
-                    continue
-                for fil in discretize_wire(wire, n_width, n_thickness):
-                    pts = fil.points
-                    starts.append(pts[:-1])
-                    ends.append(pts[1:])
-                    weights.append(np.full(len(pts) - 1, fil.fraction))
+            # (filaments, nodes, 3) per wire: segments run along each filament
+            fils = [discretize_wire(wire, n_width, n_thickness)
+                    for wire in layout.wires if wire.channel == channel]
             self._channels[channel] = _SegmentTable.build(
-                np.concatenate(starts), np.concatenate(ends), np.concatenate(weights))
+                np.concatenate([f[:, :-1].reshape(-1, 3) for f in fils]),
+                np.concatenate([f[:, 1:].reshape(-1, 3) for f in fils]),
+                1.0 / (n_width * n_thickness))
 
     @property
     def channels(self) -> tuple[str, ...]:
@@ -291,22 +267,6 @@ def _assert_outside_conductors(model: BiotSavartModel, points: np.ndarray) -> No
         )
 
 
-def field_at(model: BiotSavartModel, currents: CurrentConfig, point) -> FieldSample:
-    """Field sample (B only) at one point; errors if inside a conductor."""
-    B = model.field(currents, np.asarray(point, dtype=float))[0]
-    return FieldSample.make(point, B)
-
-
-def field_jacobian(model: BiotSavartModel, currents: CurrentConfig, point) -> np.ndarray:
-    """Closed-form Jacobian dB_i/dx_j (3x3, T/m); errors if inside a conductor."""
-    return model.field_and_jacobian(currents, np.asarray(point, dtype=float))[1][0]
-
-
-def sample_with_jacobian(model: BiotSavartModel, currents: CurrentConfig, point) -> FieldSample:
-    B, J = model.field_and_jacobian(currents, np.asarray(point, dtype=float))
-    return FieldSample.make(point, B[0], grad=J[0])
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned lattice; points iterate row-major (x slowest, z fastest)."""
@@ -331,8 +291,8 @@ def field_map(model: BiotSavartModel, currents: CurrentConfig, grid: GridSpec,
               ) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate the field (and optionally its closed-form Jacobian) over a
     grid: (B (N,3) in T, dB_i/dx_j (N,3,3) in T/m or None), rows in the
-    grid's row-major point order, each row bitwise equal to pointwise
-    field_at / field_jacobian.
+    grid's row-major point order, each row bitwise equal to the model's
+    field / field_and_jacobian at that point alone.
 
     Work items of _CHUNK points go to up to ``threads`` workers; results are
     bitwise independent of ``threads`` (per-point reduction order unchanged).

@@ -77,12 +77,11 @@ class WireSegmentPath:
 class ChipLayout:
     """An immutable collection of wires on one chip.
 
-    The chip surface sits at ``surface_y`` (0 by default); ``mirror_extent``
-    records the overall gold mirror size and is informational only.
+    ``mirror_extent`` records the overall gold mirror size and is
+    informational only.
     """
 
     wires: tuple[WireSegmentPath, ...]
-    surface_y: float = 0.0
     mirror_extent: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -173,18 +172,6 @@ def rb87_f2m2() -> AtomSpecies:
 # cross-section discretization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Filament:
-    """One thin current path tiling part of a wire's cross-section."""
-
-    nodes: tuple[Vec3, ...]
-    fraction: float
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.asarray(self.nodes, dtype=float)
-
-
 def _segment_horizontal_normals(pts: np.ndarray, name: str) -> np.ndarray:
     d = np.diff(pts, axis=0)
     n = np.cross(np.broadcast_to(_Y_HAT, d.shape), d)
@@ -203,40 +190,34 @@ def _miters(wire: WireSegmentPath) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = wire.points
     normals = _segment_horizontal_normals(pts, wire.name)
-    miter = np.empty_like(pts)
+    m = normals[:-1] + normals[1:]
+    length = np.sqrt(_dot3(m, m))  # rounds as np.linalg.norm of each row
+    if np.any(length < 1e-9):
+        raise GeometryError(f"wire {wire.name!r}: 180-degree bend cannot be offset")
+    miter = np.concatenate([normals[:1], m / length[:, None], normals[-1:]])
     denom = np.ones(len(pts))
-    miter[0], miter[-1] = normals[0], normals[-1]
-    for i in range(1, len(pts) - 1):
-        m = normals[i - 1] + normals[i]
-        length = np.linalg.norm(m)
-        if length < 1e-9:
-            raise GeometryError(f"wire {wire.name!r}: 180-degree bend cannot be offset")
-        miter[i] = m / length
-        denom[i] = np.dot(miter[i], normals[i - 1])
+    denom[1:-1] = _dot3(miter[1:-1], normals[:-1])
     return miter, denom
 
 
-def discretize_wire(wire: WireSegmentPath, n_width: int, n_thickness: int) -> list[Filament]:
+def discretize_wire(wire: WireSegmentPath, n_width: int, n_thickness: int) -> np.ndarray:
     """Tile the rectangular cross-section with n_width x n_thickness filaments.
 
-    Filaments carry equal current fractions summing to 1 and parallel-offset
-    the centerline with miter joins; a symmetric tiling keeps the centroid on
+    Returns the filament nodes as one (n_width * n_thickness, nodes, 3)
+    array, thickness outer and width inner.  Each filament carries
+    1 / (n_width * n_thickness) of the current and parallel-offsets the
+    centerline with miter joins; a symmetric tiling keeps the centroid on
     the centerline.
     """
     if n_width < 1 or n_thickness < 1:
         raise GeometryError("n_width and n_thickness must be >= 1")
-    fraction = 1.0 / (n_width * n_thickness)
     h_offsets = ((np.arange(n_width) + 0.5) / n_width - 0.5) * wire.width
     v_offsets = ((np.arange(n_thickness) + 0.5) / n_thickness - 0.5) * wire.thickness
-    pts = wire.points
     miter, denom = _miters(wire)
-    filaments = []
-    for v in v_offsets:
-        for h in h_offsets:
-            nodes = pts + miter * (h / denom)[:, None]
-            nodes[:, 1] += v
-            filaments.append(Filament(nodes=tuple(map(tuple, nodes.tolist())), fraction=fraction))
-    return filaments
+    layer = wire.points + miter * (h_offsets[:, None] / denom)[..., None]  # one row per width
+    fils = np.tile(layer, (n_thickness, 1, 1))
+    fils[..., 1] += np.repeat(v_offsets, n_width)[:, None]
+    return fils
 
 
 # ---------------------------------------------------------------------------
@@ -663,4 +644,4 @@ def central_section_only(layout: ChipLayout, names: Sequence[str] | None = None)
         else:
             nodes = w.nodes
         kept.append(replace(w, nodes=nodes))
-    return ChipLayout(wires=tuple(kept), surface_y=layout.surface_y)
+    return ChipLayout(wires=tuple(kept))

@@ -115,7 +115,7 @@ def perturb_wire(wire: WireSegmentPath, deviation, step: float = 5e-6) -> WireSe
                 f"({wire.width * _MAX_DEVIATION_FRAC * 1e9:.1f} nm)"
             )
         resampled[:, 0] += f
-    return replace(wire, nodes=tuple(tuple(float(c) for c in p) for p in resampled))
+    return replace(wire, nodes=resampled)
 
 
 @dataclass(frozen=True)

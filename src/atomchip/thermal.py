@@ -93,8 +93,8 @@ def steady_temperature(wire: WireSegmentPath, current: float,
     The root beta / (1 - alpha beta) of dT = beta (1 + alpha dT); raises
     ThermalRunawayError when alpha*beta >= 1 (no finite root).
     """
-    if current < 0.0:
-        raise ConfigError("current must be >= 0")
+    if not current >= 0.0:
+        raise ConfigError(f"current must be >= 0, got {current!r}")
     if current == 0.0:
         return 0.0
     beta = _self_heating_parameter(wire, current, network)
@@ -120,8 +120,8 @@ def max_current_density(wire: WireSegmentPath, network: ThermalNetwork,
     beta = rho0 J^2 A R'_total solved for J at the beta whose rise is the
     limit; that beta stays below 1/alpha, so J_max lies below runaway.
     """
-    if delta_T_limit <= 0.0:
-        raise ConfigError("delta_T_limit must be > 0")
+    if not delta_T_limit > 0.0:
+        raise ConfigError(f"delta_T_limit must be > 0, got {delta_T_limit!r}")
     beta_limit = _beta_for_rise(network, delta_T_limit)
     area = wire.cross_section_area
     return math.sqrt(beta_limit / (network.rho0 * area
@@ -181,6 +181,10 @@ def calibrate_mount(network: ThermalNetwork, wire: WireSegmentPath,
     other widths then become genuine predictions.  Recalibrating with the
     calibration point itself reproduces the same network.
     """
+    if not (math.isfinite(j_max) and j_max > 0.0):
+        raise ConfigError(f"j_max must be finite and > 0, got {j_max!r}")
+    if not delta_T > 0.0:
+        raise ConfigError(f"delta_T must be > 0, got {delta_T!r}")
     beta_required = _beta_for_rise(network, delta_T)
     area = wire.cross_section_area
     r_total = beta_required / (network.rho0 * j_max**2 * area)

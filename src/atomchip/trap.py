@@ -61,7 +61,6 @@ class PotentialDef:
     species: AtomSpecies
     field: Callable[[np.ndarray], np.ndarray] | None = None
     energy_batch: Callable[[np.ndarray], np.ndarray] | None = None  # (N,3) -> (N,)
-    surface_y: float = 0.0
     gradient: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3,)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3, 3)
 
@@ -132,13 +131,7 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
         return species.zeeman_slope * curvature
 
     return PotentialDef(energy=energy, species=species, field=field,
-                        energy_batch=energy_batch, surface_y=model.layout.surface_y,
-                        gradient=gradient, hessian=hessian)
-
-
-def potential_at(pdef: PotentialDef, point) -> float:
-    """U at ``point`` in joules."""
-    return float(pdef.energy(np.asarray(point, dtype=float)))
+                        energy_batch=energy_batch, gradient=gradient, hessian=hessian)
 
 
 @dataclass(frozen=True)
@@ -224,7 +217,7 @@ def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
     return TrapCharacterization(
         minimum=tuple(float(c) for c in x),
         bottom_field=bottom,
-        height_above_chip=float(x[1] - pdef.surface_y),
+        height_above_chip=float(x[1]),
         grad_norm=gnorm,
     )
 

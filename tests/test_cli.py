@@ -165,6 +165,11 @@ def test_thermal_runaway_reported(capsys):
     assert doc["dT_K"] is None
 
 
+def test_thermal_nan_current_is_an_error(capsys):
+    assert run(["thermal", "--current-A", "nan"]) == 1
+    assert "current must be >= 0, got nan" in capsys.readouterr().err
+
+
 def test_roughness_random_requires_seed(tmp_path, capsys):
     code = run(["roughness", "--kind", "random", "--out", str(tmp_path)])
     assert code == 1

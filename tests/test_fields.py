@@ -6,8 +6,7 @@ import pytest
 from atomchip.constants import GAUSS, MU_0
 from atomchip.errors import FieldDomainError
 from atomchip.fields import (
-    BiotSavartModel, GridSpec, _SegmentTable, _segment_field,
-    field_at, field_jacobian, field_map, field_map_csv_rows, sample_with_jacobian,
+    BiotSavartModel, GridSpec, _SegmentTable, _segment_field, field_map, field_map_csv_rows,
 )
 from atomchip.geometry import (
     ChipLayout, ConductorFrames, CurrentConfig, WireSegmentPath, central_section_only,
@@ -18,38 +17,38 @@ from atomchip.roughness import RandomDeviation, perturb_wire
 
 
 def test_zero_currents_zero_bias(thin_model):
-    s = field_at(thin_model, CurrentConfig(), (0, 150e-6, 0))
-    assert s.magnitude == 0.0
+    B = thin_model.field(CurrentConfig(), (0, 150e-6, 0))
+    assert B.tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_bias_only(thin_model):
     cur = CurrentConfig(bias=(24.8 * GAUSS, 0.0, 0.0))
-    s = field_at(thin_model, cur, (0, 150e-6, 0))
-    assert s.B == (24.8 * GAUSS, 0.0, 0.0)
+    B = thin_model.field(cur, (0, 150e-6, 0))
+    assert B.tolist() == [[24.8 * GAUSS, 0.0, 0.0]]
 
 
 def test_infinite_wire_oracle(thin_model):
     # analytic oracle: |B| = mu0 I / (2 pi r) for a wire much longer than r
     cur = CurrentConfig(dc={"w": 2.0})
     for r in (50e-6, 150e-6, 500e-6):
-        s = field_at(thin_model, cur, (0.0, r, 0.0))
+        magnitude = np.linalg.norm(thin_model.field(cur, (0.0, r, 0.0)))
         exact = MU_0 * 2.0 / (2.0 * np.pi * r)
-        assert abs(s.magnitude - exact) / exact < 1e-3
-    s = field_at(thin_model, cur, (0.0, 150e-6, 0.0))
-    assert abs(s.magnitude / GAUSS - 26.67) < 0.03  # 26.67 G at 150 um
+        assert abs(magnitude - exact) / exact < 1e-3
+    magnitude = np.linalg.norm(thin_model.field(cur, (0.0, 150e-6, 0.0)))
+    assert abs(magnitude / GAUSS - 26.67) < 0.03  # 26.67 G at 150 um
 
 
 def test_field_direction_above_wire(thin_model):
     # +z current, point above (+y): field along -x
-    s = field_at(thin_model, CurrentConfig(dc={"w": 2.0}), (0.0, 150e-6, 0.0))
-    assert s.B[0] < 0
-    assert abs(s.B[1]) < 1e-12 * abs(s.B[0])
-    assert abs(s.B[2]) < 1e-12 * abs(s.B[0])
+    B = thin_model.field(CurrentConfig(dc={"w": 2.0}), (0.0, 150e-6, 0.0))[0]
+    assert B[0] < 0
+    assert abs(B[1]) < 1e-12 * abs(B[0])
+    assert abs(B[2]) < 1e-12 * abs(B[0])
 
 
 def test_jacobian_uniform_bias_is_zero(thin_model):
-    J = field_jacobian(thin_model, CurrentConfig(bias=(10 * GAUSS, 5 * GAUSS, 0)),
-                       (0, 200e-6, 0))
+    _, J = thin_model.field_and_jacobian(CurrentConfig(bias=(10 * GAUSS, 5 * GAUSS, 0)),
+                                         (0, 200e-6, 0))
     assert np.max(np.abs(J)) < 1e-12
 
 
@@ -57,7 +56,7 @@ def test_jacobian_thin_wire_oracle(thin_model):
     # analytic oracle: |dB/dr| = mu0 I / (2 pi r^2)
     cur = CurrentConfig(dc={"w": 2.0})
     r = 150e-6
-    J = field_jacobian(thin_model, cur, (0.0, r, 0.0))
+    J = thin_model.field_and_jacobian(cur, (0.0, r, 0.0))[1][0]
     exact = MU_0 * 2.0 / (2.0 * np.pi * r**2)
     # B = -x_hat * mu0 I/(2 pi y) here, so dBx/dy carries the gradient
     assert abs(abs(J[0, 1]) - exact) / exact < 5e-3
@@ -75,9 +74,8 @@ def test_jacobian_mirror_symmetry():
     model = BiotSavartModel(ChipLayout(wires=wires), 1, 1)
     cur = CurrentConfig(dc={"a": 1.0, "b": 1.0})
     p = np.array([0.0, 120e-6, 0.0])
-    J = field_jacobian(model, cur, p)
-    J_left = field_jacobian(model, cur, p + np.array([-10e-6, 0, 0]))
-    J_right = field_jacobian(model, cur, p + np.array([10e-6, 0, 0]))
+    J, J_left, J_right = model.field_and_jacobian(
+        cur, p + np.array([[0.0, 0, 0], [-10e-6, 0, 0], [10e-6, 0, 0]]))[1]
     # mirror: Bx even in x, By odd -> dBx/dx odd, dBy/dy odd around x=0
     assert J[0, 0] == pytest.approx(0.0, abs=1e-12 * np.linalg.norm(J))
     assert J_left[0, 0] == pytest.approx(-J_right[0, 0], rel=1e-6, abs=1e-8)
@@ -108,17 +106,17 @@ def test_discretization_convergence():
     layout = ChipLayout(wires=(wire,))
     cur = CurrentConfig(dc={"a": 2.0})
     p = (0.0, 150e-6, 0.0)
-    coarse = field_at(BiotSavartModel(layout, 8, 3), cur, p).magnitude
-    fine = field_at(BiotSavartModel(layout, 16, 6), cur, p).magnitude
+    coarse = np.linalg.norm(BiotSavartModel(layout, 8, 3).field(cur, p))
+    fine = np.linalg.norm(BiotSavartModel(layout, 16, 6).field(cur, p))
     assert abs(coarse - fine) / fine < 1e-3
 
 
-def test_field_map_single_point_matches_field_at(thin_model):
+def test_field_map_single_point_matches_field(thin_model):
     cur = CurrentConfig(dc={"w": 2.0})
     grid = GridSpec.from_ranges([0.0], [150e-6], [0.0])
     B, J = field_map(thin_model, cur, grid)
     assert B.shape == (1, 3) and J is None
-    assert tuple(B[0]) == field_at(thin_model, cur, (0.0, 150e-6, 0.0)).B
+    assert B.tobytes() == thin_model.field(cur, (0.0, 150e-6, 0.0)).tobytes()
 
 
 def test_field_map_thread_count_bitwise_identical(paper_model, paper):
@@ -145,21 +143,21 @@ def test_field_map_csv_matches_pointwise_samples(paper_model, paper):
     grid = GridSpec.from_ranges(np.linspace(-100e-6, 100e-6, 41),
                                 np.linspace(50e-6, 300e-6, 30), [10e-6])
     B, _ = field_map(paper_model, currents, grid, threads=2)
-    samples = [field_at(paper_model, currents, p) for p in grid.points()]
-    assert B.tobytes() == np.array([s.B for s in samples]).tobytes()
+    samples = [paper_model.field(currents, p)[0] for p in grid.points()]
+    assert B.tobytes() == np.array(samples).tobytes()
     reference = ["x_um,y_um,z_um,Bx_G,By_G,Bz_G,Bmag_G"]
-    for s in samples:
-        x, y, z = (c * 1e6 for c in s.point)
-        bx, by, bz = (b * 1e4 for b in s.B)
+    for p, b in zip(grid.points(), samples):
+        x, y, z = (float(c) * 1e6 for c in p)
+        bx, by, bz = (float(c) * 1e4 for c in b)
         reference.append(f"{x:.9g},{y:.9g},{z:.9g},{bx:.9g},{by:.9g},{bz:.9g},"
-                         f"{s.magnitude * 1e4:.9g}")
+                         f"{float(np.linalg.norm(b)) * 1e4:.9g}")
     assert field_map_csv_rows(grid.points(), B) == reference
 
 
 def test_point_inside_conductor_rejected(paper_model, paper):
     _, currents, _ = paper
     with pytest.raises(FieldDomainError, match="z2"):
-        field_at(paper_model, currents, (-42.5e-6, -1.5e-6, 0.0))
+        paper_model.field(currents, (-42.5e-6, -1.5e-6, 0.0))
 
 
 def test_jacobian_rejects_points_inside_a_conductor(paper_model, paper):
@@ -167,8 +165,9 @@ def test_jacobian_rejects_points_inside_a_conductor(paper_model, paper):
     # z2's top face is at y = 0: the closed-form Jacobian needs no clearance
     # above it, only a point outside the wire
     with pytest.raises(FieldDomainError, match=r"lies inside wire 'z2'"):
-        field_jacobian(paper_model, currents, (-42.5e-6, -1.5e-6, 0.0))
-    assert np.all(np.isfinite(field_jacobian(paper_model, currents, (-42.5e-6, 0.3e-6, 0.0))))
+        paper_model.field_and_jacobian(currents, (-42.5e-6, -1.5e-6, 0.0))
+    _, J = paper_model.field_and_jacobian(currents, (-42.5e-6, 0.3e-6, 0.0))
+    assert np.all(np.isfinite(J))
 
 
 def _wire_containing_loop(layout, p, pad):
@@ -263,15 +262,16 @@ def _einsum_segment_field(points, starts, ends, weights):
 
 
 def _channel_segments(layout, channel, n_width=8, n_thickness=3):
-    """(starts, ends, weights) of one channel, in the model's order."""
-    starts, ends, weights = [], [], []
+    """(starts, ends, weights) of one channel in the model's order: wires in
+    layout order, filament rows in tiling order, segments along each row."""
+    starts, ends = [], []
     for wire in layout.wires:
         if wire.channel == channel:
             for fil in discretize_wire(wire, n_width, n_thickness):
-                starts.append(fil.points[:-1])
-                ends.append(fil.points[1:])
-                weights.append(np.full(len(fil.points) - 1, fil.fraction))
-    return np.concatenate(starts), np.concatenate(ends), np.concatenate(weights)
+                starts.append(fil[:-1])
+                ends.append(fil[1:])
+    starts = np.concatenate(starts)
+    return starts, np.concatenate(ends), np.full(len(starts), 1.0 / (n_width * n_thickness))
 
 
 def _roughness_model(deviation):
@@ -284,6 +284,22 @@ _BENT = RandomDeviation(rms=30e-9, correlation_length=40e-6, seed=11, z_min=-3e-
 _TILTED = ChipLayout(wires=(WireSegmentPath(
     name="t", channel="t", width=20e-6, thickness=1e-6,
     nodes=((0.0, -1e-6, -1e-3), (50e-6, 3e-6, -2e-4), (-20e-6, -2e-6, 3e-4), (0.0, 1e-6, 1e-3))),))
+
+
+@pytest.mark.parametrize("bent", [False, True], ids=["builtin", "bent-1201"])
+def test_model_segment_tables_match_filament_loop(paper_model, bent):
+    # the model slices each wire's (filaments, nodes, 3) array at once; the
+    # helper walks the filament rows one by one
+    model = _roughness_model(_BENT) if bent else paper_model
+    if bent:
+        assert len(model.layout.wires[0].nodes) == 1201
+    for channel in model.channels:
+        starts, ends, weights = _channel_segments(model.layout, channel)
+        expected = _SegmentTable.build(starts, ends, weights[0])
+        got = model._channels[channel]
+        assert got.scale.tobytes() == (1e-7 * weights)[:, None].tobytes()
+        for name, array, ref in zip(_SegmentTable._fields, got, expected):
+            assert array.tobytes() == ref.tobytes(), (channel, name)
 
 
 def test_kernel_blocks_match_one_unchunked_call():
@@ -300,7 +316,7 @@ def test_kernel_blocks_match_one_unchunked_call():
 def _kernel_points(layout, rng, n):
     """n seeded points above and around the layout; from n = 3 on, the last
     two are a filament's segment end and a point on that segment's line."""
-    fil = discretize_wire(layout.wires[0], 8, 3)[0].points
+    fil = discretize_wire(layout.wires[0], 8, 3)[0]
     lo = np.min([w.points.min(axis=0) for w in layout.wires], axis=0) - 200e-6
     hi = np.max([w.points.max(axis=0) for w in layout.wires], axis=0) + 200e-6
     points = rng.uniform(lo, hi, (n, 3))
@@ -327,7 +343,7 @@ def test_kernel_bitwise_equal_to_einsum_reference(paper, n):
             expected = np.concatenate([
                 _einsum_segment_field(points[lo:lo + rows], starts, ends, weights)
                 for lo in range(0, n, rows)])
-            got = _segment_field(points, _SegmentTable.build(starts, ends, weights))
+            got = _segment_field(points, _SegmentTable.build(starts, ends, weights[0]))
         assert got.tobytes() == expected.tobytes(), (channel, n)
         assert np.all(np.isfinite(got))
 
@@ -401,17 +417,17 @@ def test_symmetry_central_section_bz_zero(paper):
     layout, currents, _ = paper
     model = BiotSavartModel(central_section_only(layout, names=("z2",)))
     cur = CurrentConfig(dc={"z2": 2.0})
-    s = field_at(model, cur, (-42.5e-6, 160e-6, 0.0))
-    assert abs(s.B[2]) < 1e-12 * s.magnitude
+    B = model.field(cur, (-42.5e-6, 160e-6, 0.0))[0]
+    assert abs(B[2]) < 1e-12 * np.linalg.norm(B)
 
 
 def test_symmetry_full_z_wire_by_zero_on_axis(paper_model):
     # the Z is symmetric under 180 deg rotation about the vertical axis
     # through its midpoint, which forces B_y = 0 there
     cur = CurrentConfig(dc={"z2": 2.0})
-    s = field_at(paper_model, cur, (-42.5e-6, 160e-6, 0.0))
-    assert abs(s.B[1]) < 1e-9 * s.magnitude
-    assert abs(s.B[2]) > 1e-4 * s.magnitude  # lead-generated Ioffe field
+    B = paper_model.field(cur, (-42.5e-6, 160e-6, 0.0))[0]
+    assert abs(B[1]) < 1e-9 * np.linalg.norm(B)
+    assert abs(B[2]) > 1e-4 * np.linalg.norm(B)  # lead-generated Ioffe field
 
 
 def _richardson_jacobian(model, currents, p, h):
@@ -440,10 +456,11 @@ def test_analytic_jacobian_matches_richardson_fd(paper_model, thin_model, channe
     for p, j in zip(points, J):
         ref = _richardson_jacobian(model, cur, p, 0.5e-6)
         assert np.max(np.abs(j - ref)) <= 1e-8 * np.max(np.abs(ref)), (channel, p)
-        assert np.array_equal(j, field_jacobian(model, cur, p))
+        assert np.array_equal(j, model.field_and_jacobian(cur, p)[1][0])
 
 
-def test_sample_with_jacobian_magnitude_invariant(thin_model):
+def test_field_and_jacobian_single_point_matches_field(thin_model):
     cur = CurrentConfig(dc={"w": 2.0})
-    s = sample_with_jacobian(thin_model, cur, (0.0, 140e-6, 10e-6))
-    assert s.magnitude == pytest.approx(np.linalg.norm(s.B), rel=1e-12)
+    B, J = thin_model.field_and_jacobian(cur, (0.0, 140e-6, 10e-6))
+    assert B.shape == (1, 3) and J.shape == (1, 3, 3)
+    assert B.tobytes() == thin_model.field(cur, (0.0, 140e-6, 10e-6)).tobytes()

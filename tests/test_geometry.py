@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atomchip.errors import ConfigError, GeometryError
+from atomchip.fields import BiotSavartModel
 from atomchip.geometry import (
     ChipLayout, ConductorFrames, CurrentConfig, WireSegmentPath, builtin_paper_layout,
     central_section_only, discretize_wire, load_layout, parse_config,
@@ -146,9 +147,8 @@ def test_roundtrip_property_random_layouts(rng):
 
 def test_discretize_single_filament_on_centerline(thin_wire):
     fils = discretize_wire(thin_wire, 1, 1)
-    assert len(fils) == 1
-    assert fils[0].fraction == 1.0
-    assert np.allclose(fils[0].points, thin_wire.points)
+    assert fils.shape == (1, len(thin_wire.nodes), 3)
+    assert np.allclose(fils[0], thin_wire.points)
 
 
 def test_discretize_two_across_width():
@@ -156,17 +156,32 @@ def test_discretize_two_across_width():
                            nodes=((0, 0, -1e-3), (0, 0, 1e-3)),
                            width=100e-6, thickness=2e-6)
     fils = discretize_wire(wire, 2, 1)
-    assert [f.fraction for f in fils] == [0.5, 0.5]
-    xs = sorted(f.points[0, 0] for f in fils)
-    assert xs == pytest.approx([-25e-6, 25e-6])
+    assert fils.shape == (2, 2, 3)
+    assert fils[:, 0, 0] == pytest.approx([-25e-6, 25e-6])
 
 
-def test_discretize_fraction_normalization():
+def test_discretize_array_layout():
+    # one row per filament, thickness outer and width inner
     wire = WireSegmentPath(name="a", channel="a",
                            nodes=((0, 0, -1e-3), (0, 0, 1e-3)),
                            width=100e-6, thickness=3e-6)
     fils = discretize_wire(wire, 8, 3)
-    assert abs(sum(f.fraction for f in fils) - 1.0) < 1e-15
+    assert fils.shape == (24, 2, 3) and fils.dtype == np.float64
+    grid = fils[:, 0].reshape(3, 8, 3)
+    assert np.all(np.diff(grid[..., 0], axis=1) > 0)  # x steps along a width row
+    assert np.all(grid[..., 1] == grid[:, :1, 1])  # one y per thickness layer
+    assert np.all(np.diff(grid[:, 0, 1]) > 0)
+
+
+def test_discretize_fraction_normalization():
+    # the array carries no weights: the model gives every filament's segments
+    # 1 / (n_width * n_thickness) of the current, and the shares sum to 1
+    wire = WireSegmentPath(name="a", channel="a",
+                           nodes=((0, 0, -1e-3), (0, 0, 1e-3)),
+                           width=100e-6, thickness=3e-6)
+    scale = BiotSavartModel(ChipLayout(wires=(wire,)), 8, 3)._channels["a"].scale
+    assert scale.shape == (24, 1) and np.all(scale == 1e-7 * (1.0 / 24))
+    assert abs(scale.sum() / 1e-7 - 1.0) < 1e-15
 
 
 def test_discretize_centroid_on_centerline(rng):
@@ -178,8 +193,8 @@ def test_discretize_centroid_on_centerline(rng):
             thickness=float(rng.uniform(1, 5)) * 1e-6,
         )
         nw, nt = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        fils = discretize_wire(wire, nw, nt)
-        centroid = sum(f.fraction * f.points for f in fils)
+        # every filament carries 1 / (nw * nt) of the current
+        centroid = discretize_wire(wire, nw, nt).mean(axis=0)
         assert np.allclose(centroid, wire.points, atol=1e-12)
 
 
@@ -226,10 +241,9 @@ def test_discretize_matches_per_node_offset_loop(rng):
             h = ((np.arange(nw) + 0.5) / nw - 0.5) * wire.width
             v = ((np.arange(nt) + 0.5) / nt - 0.5) * wire.thickness
             expected = [_offset_polyline_loop(wire, float(hh), float(vv)) for vv in v for hh in h]
-            assert len(fils) == len(expected)
+            assert fils.shape == (len(expected), len(wire.nodes), 3)
             for fil, ref in zip(fils, expected):
-                assert fil.points.tobytes() == ref.tobytes(), wire.name
-                assert fil.fraction == 1.0 / (nw * nt)
+                assert fil.tobytes() == ref.tobytes(), wire.name
 
 
 def test_discretize_rejects_reversal_and_vertical_segment():

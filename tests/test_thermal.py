@@ -158,3 +158,24 @@ def test_alpha_default_encodes_paper_equivalence():
 def test_negative_current_rejected(network, w50):
     with pytest.raises(ConfigError):
         steady_temperature(w50, -1.0, network)
+
+
+def test_nan_current_rejected(network, w50):
+    with pytest.raises(ConfigError, match="current must be >= 0, got nan"):
+        steady_temperature(w50, float("nan"), network)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda n, w: calibrate_mount(n, w, 0.0), "j_max must be finite and > 0, got 0.0"),
+    (lambda n, w: calibrate_mount(n, w, -J_50), "j_max must be finite and > 0, got -8800000000.0"),
+    (lambda n, w: calibrate_mount(n, w, float("nan")), "j_max must be finite and > 0, got nan"),
+    (lambda n, w: calibrate_mount(n, w, float("inf")), "j_max must be finite and > 0, got inf"),
+    (lambda n, w: calibrate_mount(n, w, J_50, 0.0), "delta_T must be > 0, got 0.0"),
+    (lambda n, w: calibrate_mount(n, w, J_50, -150.0), "delta_T must be > 0, got -150.0"),
+    (lambda n, w: calibrate_mount(n, w, J_50, float("nan")), "delta_T must be > 0, got nan"),
+    (lambda n, w: max_current_density(w, n, float("nan")), "delta_T_limit must be > 0, got nan"),
+], ids=["jmax-zero", "jmax-negative", "jmax-nan", "jmax-inf", "dT-zero", "dT-negative",
+        "dT-nan", "limit-nan"])
+def test_calibration_inputs_rejected_by_name(network, w50, call, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        call(network, w50)

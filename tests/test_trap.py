@@ -7,11 +7,11 @@ from scipy.optimize import brentq
 
 from atomchip.constants import BOHR_MAGNETON, GAUSS, MU_0, PLANCK
 from atomchip.errors import ConfigError, ConvergenceError, FieldZeroError, SaddlePointError
-from atomchip.fields import BiotSavartModel, field_jacobian
+from atomchip.fields import BiotSavartModel
 from atomchip.geometry import ChipLayout, CurrentConfig, WireSegmentPath, rb87_f2m2
 from atomchip.trap import (
     PotentialDef, characterize_trap, find_trap_minimum, magnetic_potential,
-    potential_at, trap_depth, trap_frequencies,
+    trap_depth, trap_frequencies,
 )
 
 
@@ -34,26 +34,26 @@ def harmonic_potential(species, freqs_hz, center=(0.0, 0.0, 0.0), axes=None):
 
 
 # ---------------------------------------------------------------------------
-# potential_at
+# magnetic potential energy
 # ---------------------------------------------------------------------------
 
 def test_zeeman_energy_one_gauss(thin_model, species):
     # mu_B * 1 G / h = 1.3996 MHz from the constants table
     pdef = magnetic_potential(thin_model, CurrentConfig(bias=(1e-4, 0, 0)), species)
-    u = potential_at(pdef, (0, 200e-6, 0))
+    u = pdef.energy(np.asarray((0, 200e-6, 0)))
     assert u / PLANCK == pytest.approx(1.3996e6, rel=1e-4)
 
 
 def test_zero_field_zero_potential(thin_model, species):
     pdef = magnetic_potential(thin_model, CurrentConfig(), species)
-    assert potential_at(pdef, (0, 200e-6, 0)) == 0.0
+    assert pdef.energy(np.asarray((0, 200e-6, 0))) == 0.0
 
 
 def test_gravity_additivity(thin_model, species):
     cur = CurrentConfig(bias=(5 * GAUSS, 0, 0))
     pdef = magnetic_potential(thin_model, cur, species, gravity=True)
     delta = 10e-6
-    du = potential_at(pdef, (0, 200e-6 + delta, 0)) - potential_at(pdef, (0, 200e-6, 0))
+    du = pdef.energy(np.asarray((0, 200e-6 + delta, 0))) - pdef.energy(np.asarray((0, 200e-6, 0)))
     assert du == pytest.approx(species.mass * 9.80665 * delta, rel=1e-9)
 
 
@@ -180,7 +180,7 @@ def test_bias_monotonicity(thin_model, species):
         pdef = magnetic_potential(thin_model, cur, species)
         tc = find_trap_minimum(pdef, (0, 120e-6, 0))
         heights.append(tc.height_above_chip)
-        J = field_jacobian(thin_model, cur, tc.minimum)
+        J = thin_model.field_and_jacobian(cur, tc.minimum)[1][0]
         gradients.append(np.linalg.norm(J))
     assert all(a > b for a, b in zip(heights, heights[1:]))
     assert all(a < b for a, b in zip(gradients, gradients[1:]))
