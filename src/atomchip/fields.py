@@ -189,7 +189,7 @@ class BiotSavartModel:
         # sits _ROUNDING_SLACK higher so that a point the exact test's
         # arithmetic puts inside is never cut off by rounding of its own
         self._y_clearance = max(
-            (w.points[:, 1].max() + w.thickness / 2.0 for w in layout.wires),
+            (w.nodes[:, 1].max() + w.thickness / 2.0 for w in layout.wires),
             default=0.0,
         ) + _ROUNDING_SLACK
         self._frames = ConductorFrames(layout.wires)

@@ -27,17 +27,18 @@ _MIN_NODE_SEPARATION = 1e-9  # m
 _Y_HAT = np.array([0.0, 1.0, 0.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WireSegmentPath:
     """A wire as a centerline polyline with a rectangular cross-section.
 
-    ``nodes`` trace the centerline in metres; ``width`` spans the in-plane
+    ``nodes`` trace the centerline in metres as one read-only (N, 3) float
+    array, copied from what the caller passes; ``width`` spans the in-plane
     direction perpendicular to the local segment, ``thickness`` spans y.
     """
 
     name: str
     channel: str
-    nodes: tuple[Vec3, ...]
+    nodes: np.ndarray
     width: float
     thickness: float
 
@@ -48,25 +49,34 @@ class WireSegmentPath:
             raise GeometryError(f"wire {self.name!r}: width must be > 0")
         if not (self.thickness > 0.0):
             raise GeometryError(f"wire {self.name!r}: thickness must be > 0")
-        pts = np.asarray(self.nodes, dtype=float)
-        if pts.shape[1] != 3:
+        pts = np.array(self.nodes, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3:
             raise GeometryError(f"wire {self.name!r}: nodes must be 3-vectors")
+        if not np.all(np.isfinite(pts)):
+            raise GeometryError(f"wire {self.name!r}: node coordinates must be finite")
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(steps <= _MIN_NODE_SEPARATION):
             k = int(np.argmax(steps <= _MIN_NODE_SEPARATION))
             raise GeometryError(
                 f"wire {self.name!r}: nodes {k} and {k + 1} closer than 1 nm"
             )
-        object.__setattr__(self, "nodes", tuple(tuple(float(c) for c in p) for p in pts))
+        pts.flags.writeable = False
+        object.__setattr__(self, "nodes", pts)
 
-    @property
-    def points(self) -> np.ndarray:
-        return np.asarray(self.nodes, dtype=float)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WireSegmentPath):
+            return NotImplemented
+        return ((self.name, self.channel, self.width, self.thickness)
+                == (other.name, other.channel, other.width, other.thickness)
+                and np.array_equal(self.nodes, other.nodes))
+
+    def __hash__(self) -> int:
+        # node bytes would split -0.0 from 0.0, which compare equal
+        return hash((self.name, self.channel, self.width, self.thickness, len(self.nodes)))
 
     @property
     def path_length(self) -> float:
-        pts = self.points
-        return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+        return float(np.linalg.norm(np.diff(self.nodes, axis=0), axis=1).sum())
 
     @property
     def cross_section_area(self) -> float:
@@ -188,7 +198,7 @@ def _miters(wire: WireSegmentPath) -> tuple[np.ndarray, np.ndarray]:
     An offset by ``h`` moves each node by ``miter * (h / denom)``; the end
     nodes move along their segment's normal (denom 1).
     """
-    pts = wire.points
+    pts = wire.nodes
     normals = _segment_horizontal_normals(pts, wire.name)
     m = normals[:-1] + normals[1:]
     length = np.sqrt(_dot3(m, m))  # rounds as np.linalg.norm of each row
@@ -214,7 +224,7 @@ def discretize_wire(wire: WireSegmentPath, n_width: int, n_thickness: int) -> np
     h_offsets = ((np.arange(n_width) + 0.5) / n_width - 0.5) * wire.width
     v_offsets = ((np.arange(n_thickness) + 0.5) / n_thickness - 0.5) * wire.thickness
     miter, denom = _miters(wire)
-    layer = wire.points + miter * (h_offsets[:, None] / denom)[..., None]  # one row per width
+    layer = wire.nodes + miter * (h_offsets[:, None] / denom)[..., None]  # one row per width
     fils = np.tile(layer, (n_thickness, 1, 1))
     fils[..., 1] += np.repeat(v_offsets, n_width)[:, None]
     return fils
@@ -247,7 +257,7 @@ def _segment_distance_2d(p1, p2, q1, q2) -> float:
 
 
 def _y_interval(wire: WireSegmentPath) -> tuple[float, float]:
-    ys = wire.points[:, 1]
+    ys = wire.nodes[:, 1]
     return float(ys.min() - wire.thickness / 2), float(ys.max() + wire.thickness / 2)
 
 
@@ -259,8 +269,8 @@ def _check_footprint_overlap(wires: Sequence[WireSegmentPath]) -> None:
             blo, bhi = _y_interval(b)
             if ahi < blo or bhi < alo:
                 continue  # different layers
-            pa = a.points[:, [0, 2]]
-            pb = b.points[:, [0, 2]]
+            pa = a.nodes[:, [0, 2]]
+            pb = b.nodes[:, [0, 2]]
             clearance = (a.width + b.width) / 2.0
             for s in range(len(pa) - 1):
                 for t in range(len(pb) - 1):
@@ -301,12 +311,12 @@ class ConductorFrames:
 
         self.n_wires = len(wires)
         counts = [len(w.nodes) - 1 for w in wires]
-        d = stack(np.diff(w.points, axis=0) for w in wires)
+        d = stack(np.diff(w.nodes, axis=0) for w in wires)
         self.wire_index = np.repeat(np.arange(self.n_wires), counts)
-        self.start = stack(w.points[:-1] for w in wires)
+        self.start = stack(w.nodes[:-1] for w in wires)
         self.length = np.sqrt(_dot3(d, d))
         self.tangent = d / self.length[:, None]
-        self.normal = stack(_segment_horizontal_normals(w.points, w.name) for w in wires)
+        self.normal = stack(_segment_horizontal_normals(w.nodes, w.name) for w in wires)
         self.half_width = np.repeat([w.width / 2.0 for w in wires], counts)
         self.half_thickness = np.repeat([w.thickness / 2.0 for w in wires], counts)
 
@@ -381,12 +391,12 @@ def _parse_wire(obj, index: int) -> WireSegmentPath:
     for k, node in enumerate(nodes_um):
         if not isinstance(node, Sequence) or len(node) != 3:
             raise ConfigError(f"{where}.nodes_um[{k}]: expected [x, y, z] in um")
-        nodes.append(tuple(_as_number(c, f"{where}.nodes_um[{k}]") * UM for c in node))
+        nodes.append([_as_number(c, f"{where}.nodes_um[{k}]") * UM for c in node])
     try:
         return WireSegmentPath(
             name=str(name),
             channel=str(obj.get("channel", name)),
-            nodes=tuple(nodes),
+            nodes=nodes,
             width=_as_number(_require(obj, "width_um", where), f"{where}.width_um") * UM,
             thickness=_as_number(_require(obj, "thickness_um", where), f"{where}.thickness_um") * UM,
         )
@@ -524,7 +534,7 @@ def serialize_config(layout: ChipLayout, currents: CurrentConfig, species: AtomS
                 "channel": w.channel,
                 "width_um": _in_unit(w.width, UM),
                 "thickness_um": _in_unit(w.thickness, UM),
-                "nodes_um": [[_in_unit(c, UM) for c in node] for node in w.nodes],
+                "nodes_um": [[_in_unit(c, UM) for c in node] for node in w.nodes.tolist()],
             }
             for w in layout.wires
         ],
@@ -626,22 +636,3 @@ def builtin_paper_layout(
     }
     config["currents"][loaded_channel] = loaded_current
     return parse_config(config)
-
-
-def central_section_only(layout: ChipLayout, names: Sequence[str] | None = None) -> ChipLayout:
-    """Variant of ``layout`` keeping only each Z-wire's straight central section.
-
-    Used for symmetry checks: without leads the wire field has no z component
-    on the midplane.
-    """
-    kept = []
-    for w in layout.wires:
-        if names is not None and w.name not in names:
-            continue
-        pts = w.points
-        if len(pts) == 4:
-            nodes = (w.nodes[1], w.nodes[2])
-        else:
-            nodes = w.nodes
-        kept.append(replace(w, nodes=nodes))
-    return ChipLayout(wires=tuple(kept))

@@ -73,6 +73,11 @@ class RandomDeviation:
     def __post_init__(self) -> None:
         if self.step > 5e-6 + 1e-12:
             raise ConfigError("random deviation grid step must be <= 5 um")
+        if not (0.0 < self.correlation_length < np.inf):
+            raise ConfigError(f"random deviation correlation length must be finite and > 0, "
+                              f"got {self.correlation_length:g} m")
+        if not np.isfinite(self.rms):
+            raise ConfigError(f"random deviation rms must be finite, got {self.rms:g} m")
         ell = self.correlation_length
         pad = 5.0 * ell
         grid = np.arange(self.z_min - pad, self.z_max + pad + self.step, self.step)
@@ -101,7 +106,7 @@ def perturb_wire(wire: WireSegmentPath, deviation, step: float = 5e-6) -> WireSe
     the meander contribution from discretization effects.  Total current is
     untouched (the path just bends).  Raises when max|f| >= width/10.
     """
-    pts = wire.points
+    pts = wire.nodes
     seg_len = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     n_new = max(int(np.ceil(cum[-1] / step)), 1) + 1
@@ -127,11 +132,10 @@ class RoughnessProfile:
     delta_Bz: tuple[float, ...]       # T
     delta_V: tuple[float, ...]        # J
     ratio_to_main: tuple[float, ...]  # dimensionless
-    main_field: tuple[float, ...]     # T
 
     def __post_init__(self) -> None:
         n = len(self.z)
-        for name in ("delta_Bz", "delta_V", "ratio_to_main", "main_field"):
+        for name in ("delta_Bz", "delta_V", "ratio_to_main"):
             if len(getattr(self, name)) != n:
                 raise ValueError("profile arrays must have equal length")
 
@@ -165,7 +169,7 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
         raise ConfigError("evaluation height must be > 0")
     z_values = np.asarray(z_values, dtype=float)
     # the trap sits above the central section, not above the lead endpoints
-    pts = wire.points
+    pts = wire.nodes
     x_eval = float(pts[np.argmin(np.abs(pts[:, 2])), 0])
     points = np.column_stack([
         np.full_like(z_values, x_eval), np.full_like(z_values, height), z_values
@@ -174,29 +178,21 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
     straight = perturb_wire(wire, None)
     bent = perturb_wire(wire, deviation)
     currents = CurrentConfig(dc={wire.channel: current})
-    return _roughness_from_wires(straight, bent, currents, points, z_values, species,
-                                 n_width, n_thickness)
-
-
-def _roughness_from_wires(straight, bent, currents, points, z_values, species,
-                          n_width, n_thickness) -> RoughnessProfile:
     model_s = BiotSavartModel(ChipLayout(wires=(straight,)), n_width, n_thickness)
     model_b = BiotSavartModel(ChipLayout(wires=(bent,)), n_width, n_thickness)
     B_s = model_s.field(currents, points)
     B_b = model_b.field(currents, points)
-    mag_s = np.linalg.norm(B_s, axis=1)
     delta_bz = B_b[:, 2] - B_s[:, 2]
     # a trap whose bottom field lies along z feels the first-order change
     # delta_Bz; the bare wire's |B| changes only to second order, as the
     # wire field is perpendicular to delta_Bz
     delta_v = species.zeeman_slope * delta_bz
-    ratio = delta_bz / mag_s
+    ratio = delta_bz / np.linalg.norm(B_s, axis=1)
     return RoughnessProfile(
         z=tuple(z_values.tolist()),
         delta_Bz=tuple(delta_bz.tolist()),
         delta_V=tuple(delta_v.tolist()),
         ratio_to_main=tuple(ratio.tolist()),
-        main_field=tuple(mag_s.tolist()),
     )
 
 

@@ -176,6 +176,17 @@ def test_roughness_random_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corr_um", ["0", "-200"])
+def test_roughness_random_bad_correlation_is_an_error(tmp_path, capsys, corr_um):
+    code = run(["roughness", "--kind", "random", "--seed", "1", f"--corr-um={corr_um}",
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "correlation length" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "roughness.csv").exists()
+
+
 def test_roughness_csv(tmp_path):
     assert run(["roughness", "--kind", "triangle", "--amplitude-nm", "20",
                 "--period-um", "800", "--points", "21", "--z-half-um", "200",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from atomchip.errors import ConfigError, GeometryError
 from atomchip.fields import BiotSavartModel
 from atomchip.geometry import (
     ChipLayout, ConductorFrames, CurrentConfig, WireSegmentPath, builtin_paper_layout,
-    central_section_only, discretize_wire, load_layout, parse_config,
-    serialize_config,
+    discretize_wire, load_layout, parse_config, serialize_config,
 )
 from atomchip.reproduction import roughness_test_wire
 from atomchip.roughness import RandomDeviation, perturb_wire
@@ -82,6 +82,48 @@ def test_wire_invariants():
                         width=0.0, thickness=1e-6)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_node_rejected(literal):
+    doc = json.dumps(MINIMAL).replace("-1.5, 5000.0]", f"-1.5, {literal}]")
+    assert literal in doc
+    with pytest.raises(ConfigError, match=r"wires\[0\].*node coordinates must be finite"):
+        load_layout(doc)
+
+
+def _wire(nodes):
+    return WireSegmentPath(name="a", channel="a", nodes=nodes, width=5e-6, thickness=1e-6)
+
+
+def test_wire_nodes_are_a_read_only_copy():
+    source = np.array([[0.0, -0.5e-6, -1e-3], [0.0, -0.5e-6, 1e-3]])
+    wire = _wire(source)
+    assert wire.nodes.dtype == np.float64 and wire.nodes.shape == (2, 3)
+    with pytest.raises(ValueError):
+        wire.nodes[0, 0] = 1.0
+    source[0, 0] = 1.0
+    assert wire.nodes[0, 0] == 0.0
+    assert source.flags.writeable
+
+
+def test_wire_equality_and_hash():
+    nodes = [[0.0, -0.5e-6, -1e-3], [0.0, -0.5e-6, 1e-3]]
+    a, b = _wire(nodes), _wire(tuple(map(tuple, nodes)))
+    assert a == b and hash(a) == hash(b)
+    assert _wire([[-0.0, -0.5e-6, -1e-3], [0.0, -0.5e-6, 1e-3]]) == a
+    nudged = np.array(nodes)
+    nudged[1, 2] = np.nextafter(nudged[1, 2], 1.0)
+    assert _wire(nudged) != a
+    assert replace(a, width=6e-6) != a
+
+
+def test_replace_revalidates_nodes():
+    wire = _wire([[0.0, -0.5e-6, -1e-3], [0.0, -0.5e-6, 1e-3]])
+    with pytest.raises(GeometryError, match="1 nm"):
+        replace(wire, nodes=np.zeros((2, 3)))
+    with pytest.raises(GeometryError, match="finite"):
+        replace(wire, nodes=np.array([[0.0, 0.0, np.nan], [0.0, 0.0, 1e-3]]))
+
+
 def test_overlapping_footprints_error_names_both_wires():
     def straight(name, x, width):
         return {"name": name, "channel": name, "width_um": width,
@@ -148,7 +190,7 @@ def test_roundtrip_property_random_layouts(rng):
 def test_discretize_single_filament_on_centerline(thin_wire):
     fils = discretize_wire(thin_wire, 1, 1)
     assert fils.shape == (1, len(thin_wire.nodes), 3)
-    assert np.allclose(fils[0], thin_wire.points)
+    assert np.allclose(fils[0], thin_wire.nodes)
 
 
 def test_discretize_two_across_width():
@@ -195,7 +237,7 @@ def test_discretize_centroid_on_centerline(rng):
         nw, nt = int(rng.integers(1, 6)), int(rng.integers(1, 4))
         # every filament carries 1 / (nw * nt) of the current
         centroid = discretize_wire(wire, nw, nt).mean(axis=0)
-        assert np.allclose(centroid, wire.points, atol=1e-12)
+        assert np.allclose(centroid, wire.nodes, atol=1e-12)
 
 
 def test_discretize_validates_counts(thin_wire):
@@ -205,7 +247,7 @@ def test_discretize_validates_counts(thin_wire):
 
 def _offset_polyline_loop(wire, horizontal, vertical):
     """Reference offset: every node's miter computed again for each filament."""
-    pts = wire.points
+    pts = wire.nodes
     d = np.diff(pts, axis=0)
     normals = np.cross(np.broadcast_to([0.0, 1.0, 0.0], d.shape), d)
     normals = normals / np.linalg.norm(normals, axis=1)[:, None]
@@ -229,8 +271,8 @@ def test_discretize_matches_per_node_offset_loop(rng):
     jitter = rng.uniform(-20e-6, 20e-6, (9, 3)) * [1.0, 0.05, 1.0]
     zigzag = WireSegmentPath(
         name="zz", channel="zz", width=40e-6, thickness=2e-6,
-        nodes=tuple(map(tuple, np.column_stack(
-            [np.tile([0.0, 150e-6], 5)[:9], np.full(9, -1e-6), np.arange(9) * 200e-6]) + jitter)),
+        nodes=np.column_stack(
+            [np.tile([0.0, 150e-6], 5)[:9], np.full(9, -1e-6), np.arange(9) * 200e-6]) + jitter,
     )
     bent = perturb_wire(roughness_test_wire(), RandomDeviation(
         rms=30e-9, correlation_length=40e-6, seed=5, z_min=-3e-3, z_max=3e-3))
@@ -266,13 +308,6 @@ def test_point_inside_wire():
                        [26e-6, -1.5e-6, 0.0], [0.0, -1.5e-6, 1.2e-3]])
     inside = ConductorFrames((wire,)).first_containing(points) >= 0
     assert inside.tolist() == [True, True, False, False, False]
-
-
-def test_central_section_only_strips_leads(paper):
-    layout, _, _ = paper
-    stripped = central_section_only(layout, names=("z2",))
-    assert len(stripped.wires) == 1
-    assert len(stripped.wires[0].nodes) == 2
 
 
 def test_serialized_config_is_json(paper):

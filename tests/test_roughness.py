@@ -32,13 +32,14 @@ def straight_wire():
 def test_zero_deviation_identical_resampled_path(straight_wire):
     a = perturb_wire(straight_wire, None, step=5e-6)
     b = perturb_wire(straight_wire, SinusoidDeviation(0.0, 400e-6), step=5e-6)
-    assert a.nodes == b.nodes
+    assert a == b
+    assert a.nodes.tobytes() == b.nodes.tobytes()
 
 
 def test_sinusoid_max_slope(straight_wire):
     amp, period = 30e-9, 400e-6
     bent = perturb_wire(straight_wire, SinusoidDeviation(amp, period), step=2e-6)
-    pts = bent.points
+    pts = bent.nodes
     slopes = np.diff(pts[:, 0]) / np.diff(pts[:, 2])
     assert np.max(np.abs(slopes)) == pytest.approx(2 * np.pi * amp / period, rel=2e-3)
 
@@ -46,7 +47,7 @@ def test_sinusoid_max_slope(straight_wire):
 def test_triangle_slope_everywhere(straight_wire):
     # "20 nm per 200 um" run: amplitude 20 nm, period 4 x 200 um
     bent = perturb_wire(straight_wire, TriangleDeviation(20e-9, 800e-6), step=100e-6)
-    pts = bent.points
+    pts = bent.nodes
     slopes = np.diff(pts[:, 0]) / np.diff(pts[:, 2])
     assert np.allclose(np.abs(slopes), 1e-4, rtol=1e-9)
 
