@@ -18,7 +18,10 @@ import numpy as np
 
 from .constants import DEG, GAUSS, NM, UM
 from .errors import ChipError, ConfigError, ThermalRunawayError
-from .fields import BiotSavartModel, GridSpec, field_map, field_map_csv_rows
+from .fields import (
+    DEFAULT_N_THICKNESS, DEFAULT_N_WIDTH, BiotSavartModel, GridSpec, field_map,
+    field_map_csv_rows,
+)
 from .fringes import fit_modulated_gaussian, phase_statistics
 from .geometry import builtin_paper_layout, load_layout_file
 from .manifest import RunManifest, csv_document, json_document, write_output
@@ -419,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add(p, "--out", required=out_required, default=None, help="output directory")
         _add(p, "--force", action="store_true", help="overwrite existing outputs")
         if filaments:
-            _add(p, "--n-width", type=int, default=8, help="filaments across the width")
-            _add(p, "--n-thickness", type=int, default=3,
+            _add(p, "--n-width", type=int, default=DEFAULT_N_WIDTH,
+                 help="filaments across the width")
+            _add(p, "--n-thickness", type=int, default=DEFAULT_N_THICKNESS,
                  help="filaments across the thickness")
 
     p = sub.add_parser("field-map", help="field over a lattice -> CSV")

@@ -42,14 +42,13 @@ DEFAULT_N_THICKNESS = 3
 # memory and is the unit handed to workers.
 _CHUNK = 1024
 _SEGMENT_BLOCK = 256  # segments per kernel block
-# points x segments per kernel block or conductor-test piece; a kernel block
-# holds ~28 doubles per point-segment, 1.8 MB at this size, which fits a 2 MB
-# L2 cache (at 2**14 a 1201-point slice of the builtin chip took ~1.5x longer)
+# points x segments per kernel block; a block holds ~28 doubles per
+# point-segment, 1.8 MB at this size, which fits a 2 MB L2 cache (at 2**14 a
+# 1201-point slice of the builtin chip took ~1.5x longer)
 _KERNEL_POINT_SEGMENTS = 2**13
 # point coordinates in the kernel's layout, see _SegmentTable.ends_starts
 _AXES = np.array([0, 1, 2, 0, 1, 0, 1, 2, 0, 1])
-_DOMAIN_PAD = 1e-9  # m, default padding of the conductor test
-_ROUNDING_SLACK = 1e-12  # m, margin of the conductor test's height prefilter
+DOMAIN_PAD = 1e-9  # m, padding of the conductor test
 _ONLINE_EPS = 1e-24  # (rho/L)^2 threshold: point on a segment's line contributes 0
 
 
@@ -185,14 +184,7 @@ class BiotSavartModel:
         self.layout = layout
         self.n_width = n_width
         self.n_thickness = n_thickness
-        # points above every conductor need no per-wire inside test; the cut
-        # sits _ROUNDING_SLACK higher so that a point the exact test's
-        # arithmetic puts inside is never cut off by rounding of its own
-        self._y_clearance = max(
-            (w.nodes[:, 1].max() + w.thickness / 2.0 for w in layout.wires),
-            default=0.0,
-        ) + _ROUNDING_SLACK
-        self._frames = ConductorFrames(layout.wires)
+        self.frames = ConductorFrames(layout.wires)
         self._channels: dict[str, _SegmentTable] = {}
         for channel in layout.channels:
             # (filaments, nodes, 3) per wire: segments run along each filament
@@ -212,25 +204,28 @@ class BiotSavartModel:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return _segment_field(points, self._channels[channel])
 
-    def field(self, currents: CurrentConfig, points: np.ndarray,
-              check_domain: bool = True) -> np.ndarray:
-        """B = bias + sum over channels of I_ch * unit field, (N,3)."""
-        return self._superpose(currents, points, check_domain, currents.bias,
-                               self.channel_unit_field)
+    def field(self, currents: CurrentConfig, points: np.ndarray) -> np.ndarray:
+        """B = bias + sum over channels of I_ch * unit field, (N,3); raises
+        FieldDomainError naming the first point inside a conductor."""
+        return self._superpose(currents, points, currents.bias, self.channel_unit_field)
 
-    def field_and_jacobian(self, currents: CurrentConfig, points: np.ndarray,
-                           check_domain: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def field_and_jacobian(self, currents: CurrentConfig,
+                           points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B (N,3), dB_i/dx_j (N,3,3) in T/m), both closed form; B has the
-        bits of ``field``."""
+        bits of ``field``, and the points are checked as there."""
         out = self._superpose(
-            currents, points, check_domain, tuple(currents.bias) + (0.0,) * 9,
+            currents, points, tuple(currents.bias) + (0.0,) * 9,
             lambda channel, pts: _segment_field(pts, self._channels[channel], jacobian=True))
         return out[:, :3], out[:, 3:].reshape(-1, 3, 3)
 
-    def _superpose(self, currents, points, check_domain, bias, unit) -> np.ndarray:
+    def _superpose(self, currents, points, bias, unit) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if check_domain:
-            _assert_outside_conductors(self, points)
+        index = self.frames.first_containing(points, DOMAIN_PAD)
+        if index.max(initial=-1) >= 0:
+            k = int(np.argmax(index >= 0))
+            x, y, z = points[k] * 1e6
+            raise FieldDomainError(f"point ({x:.3f}, {y:.3f}, {z:.3f}) um lies inside "
+                                   f"wire {self.layout.wires[index[k]].name!r}")
         B = np.tile(np.asarray(bias, dtype=float), (len(points), 1))
         for channel in self._channels:
             amps = currents.dc_current(channel)
@@ -239,32 +234,6 @@ class BiotSavartModel:
         if not np.isfinite(B).all():
             raise FieldDomainError("non-finite field value (point too close to a filament)")
         return B
-
-    def conductor_index(self, points: np.ndarray, pad: float = _DOMAIN_PAD) -> np.ndarray:
-        """Per point, the index into ``layout.wires`` of the first wire that
-        contains it (padded by ``pad``), or -1 outside every conductor."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        index = np.full(len(points), -1)
-        suspect = (points[:, 1] <= self._y_clearance + pad).nonzero()[0]
-        rows = max(1, _KERNEL_POINT_SEGMENTS // max(len(self._frames.start), 1))
-        for lo in range(0, len(suspect), rows):
-            piece = suspect[lo:lo + rows]
-            index[piece] = self._frames.first_containing(points[piece], pad)
-        return index
-
-
-def _assert_outside_conductors(model: BiotSavartModel, points: np.ndarray) -> None:
-    """Raise FieldDomainError naming the first point inside a wire."""
-    if not (points[:, 1] <= model._y_clearance + _DOMAIN_PAD).any():
-        return  # every point is above every conductor
-    index = model.conductor_index(points)
-    hits = (index >= 0).nonzero()[0]
-    if len(hits):
-        p = points[hits[0]]
-        raise FieldDomainError(
-            f"point ({p[0] * 1e6:.3f}, {p[1] * 1e6:.3f}, {p[2] * 1e6:.3f}) um "
-            f"lies inside wire {model.layout.wires[index[hits[0]]].name!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -296,19 +265,20 @@ def field_map(model: BiotSavartModel, currents: CurrentConfig, grid: GridSpec,
 
     Work items of _CHUNK points go to up to ``threads`` workers; results are
     bitwise independent of ``threads`` (per-point reduction order unchanged).
+    Each chunk checks its own points; chunks run in row-major order and the
+    earliest failing one raises, so a FieldDomainError names the grid's first
+    point inside a conductor whatever ``threads`` is.
     """
     points = grid.points()
-    _assert_outside_conductors(model, points)
     B = np.empty((len(points), 3))
     J = np.empty((len(points), 3, 3)) if with_jacobian else None
 
     def eval_chunk(lo: int) -> None:
         hi = lo + _CHUNK
         if with_jacobian:
-            B[lo:hi], J[lo:hi] = model.field_and_jacobian(
-                currents, points[lo:hi], check_domain=False)
+            B[lo:hi], J[lo:hi] = model.field_and_jacobian(currents, points[lo:hi])
         else:
-            B[lo:hi] = model.field(currents, points[lo:hi], check_domain=False)
+            B[lo:hi] = model.field(currents, points[lo:hi])
 
     starts = range(0, len(points), _CHUNK)
     if threads > 1 and len(starts) > 1:

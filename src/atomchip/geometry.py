@@ -24,6 +24,8 @@ from .errors import ConfigError, GeometryError
 Vec3 = tuple[float, float, float]
 
 _MIN_NODE_SEPARATION = 1e-9  # m
+_ROUNDING_SLACK = 1e-12  # m, margin of the conductor test's height band
+_CONDUCTOR_PIECE = 2**13  # points x segments per piece of the conductor test
 _Y_HAT = np.array([0.0, 1.0, 0.0])
 
 
@@ -319,28 +321,42 @@ class ConductorFrames:
         self.normal = stack(_segment_horizontal_normals(w.nodes, w.name) for w in wires)
         self.half_width = np.repeat([w.width / 2.0 for w in wires], counts)
         self.half_thickness = np.repeat([w.thickness / 2.0 for w in wires], counts)
+        # a point inside a wire is within half a thickness in y of a point
+        # between two of its nodes, so it lies in this band; the slack keeps
+        # rounding from cutting off a point the exact test puts inside
+        ys = np.array([_y_interval(w) for w in wires]).reshape(-1, 2)
+        self.y_band = (float(ys[:, 0].min(initial=np.inf)) - _ROUNDING_SLACK,
+                       float(ys[:, 1].max(initial=-np.inf)) + _ROUNDING_SLACK)
 
     def first_containing(self, points, pad: float = 0.0) -> np.ndarray:
         """Per point, the index of the first wire whose volume (padded by
         ``pad``) contains it, or -1.
 
-        A segment's box is clipped along its tangent, so a point beyond a
-        segment end counts only within ``pad`` of the end face.  Works on
-        whole (points x segments) arrays; callers bound their size.
+        Only points in ``y_band`` (padded by ``pad``) are tested, in pieces
+        of at most _CONDUCTOR_PIECE point-segments.  A segment's box is
+        clipped along its tangent, so a point beyond a segment end counts
+        only within ``pad`` of the end face.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        w = points[:, None, :] - self.start[None, :, :]
-        proj = _dot3(w, self.tangent)
-        s = np.clip(proj, 0.0, self.length)
-        r = w - s[..., None] * self.tangent
-        inside = (
-            (np.abs(proj - s) <= pad)  # nonzero only beyond the ends
-            & (np.abs(_dot3(r, self.normal)) <= self.half_width + pad)
-            & (np.abs(r[..., 1]) <= self.half_thickness + pad)
-        )
-        # segments run in layout order, so the lowest hit index is the first wire
-        first = np.where(inside, self.wire_index, self.n_wires).min(axis=1, initial=self.n_wires)
-        return np.where(first < self.n_wires, first, -1)
+        index = np.full(len(points), -1)
+        y = points[:, 1]
+        suspect = ((y >= self.y_band[0] - pad) & (y <= self.y_band[1] + pad)).nonzero()[0]
+        rows = max(1, _CONDUCTOR_PIECE // max(len(self.start), 1))
+        for lo in range(0, len(suspect), rows):
+            piece = suspect[lo:lo + rows]
+            w = points[piece, None, :] - self.start[None, :, :]
+            proj = _dot3(w, self.tangent)
+            s = np.clip(proj, 0.0, self.length)
+            r = w - s[..., None] * self.tangent
+            inside = (
+                (np.abs(proj - s) <= pad)  # nonzero only beyond the ends
+                & (np.abs(_dot3(r, self.normal)) <= self.half_width + pad)
+                & (np.abs(r[..., 1]) <= self.half_thickness + pad)
+            )
+            # segments run in layout order, so the lowest hit index is the first wire
+            first = np.where(inside, self.wire_index, self.n_wires).min(axis=1)
+            index[piece] = np.where(first < self.n_wires, first, -1)
+        return index
 
 
 def wire_containing(layout: ChipLayout, point: np.ndarray, pad: float = 0.0) -> str | None:
@@ -563,47 +579,48 @@ def serialize_config(layout: ChipLayout, currents: CurrentConfig, species: AtomS
 # builtin layout
 # ---------------------------------------------------------------------------
 
-def builtin_paper_layout(
-    central_length: float = 7e-3,
-    inner_width: float = 50e-6,
-    inner_separation: float = 85e-6,
-    outer_width: float = 100e-6,
-    outer_separation: float = 300e-6,
-    thickness: float = 3e-6,
-    lead_dx: float = 1.0e-3,
-    lead_dz: float = 1.732e-3,
-    end_wire_z: float = 5.8e-3,
-    end_wire_halfspan: float = 2.0e-3,
-    end_wire_width: float = 100e-6,
-    bias_x: float = 24.8 * GAUSS,
-    loaded_channel: str = "z2",
-    loaded_current: float = 2.0,
-) -> tuple[ChipLayout, CurrentConfig, AtomSpecies]:
+# Central sections (published): outer pair 100 um wide at 300 um
+# centre-to-centre, inner pair 50 um wide at 85 um, all 7 mm long, 3 um thick
+# gold.  Lead routing and the end wires are NOT published; these are
+# placeholders (leads fan out as parallel ~60 degree diagonals so the four
+# Z's never overlap; end wires sit at z = +-5.8 mm spanning +-2 mm along x).
+_CENTRAL_LENGTH = 7e-3
+_INNER_WIDTH = 50e-6
+_INNER_SEPARATION = 85e-6
+_OUTER_WIDTH = 100e-6
+_OUTER_SEPARATION = 300e-6
+_THICKNESS = 3e-6
+_LEAD_DX = 1.0e-3
+_LEAD_DZ = 1.732e-3
+_END_WIRE_Z = 5.8e-3
+_END_WIRE_HALFSPAN = 2.0e-3
+_END_WIRE_WIDTH = 100e-6
+# operating point: 2 A on inner wire "z2" with a 24.8 G x bias
+_BIAS_X = 24.8 * GAUSS
+_LOADED_CHANNEL = "z2"
+_LOADED_CURRENT = 2.0
+
+
+def builtin_paper_layout() -> tuple[ChipLayout, CurrentConfig, AtomSpecies]:
     """Six-wire trapping layout: four parallel Z-wires plus two end wires.
 
-    Central sections (published): outer pair 100 um wide at 300 um
-    centre-to-centre, inner pair 50 um wide at 85 um, all 7 mm long, 3 um
-    thick gold.  Lead routing and the end wires are NOT published; the
-    defaults here are placeholders (leads fan out as parallel ~60 degree
-    diagonals so the four Z's never overlap; end wires sit at z = +-5.8 mm
-    spanning +-2 mm along x).  Defaults load 2 A on inner wire "z2" with a
-    24.8 G x bias; every other channel defaults to 0 A.
-
-    The layout is built through :func:`parse_config` from a um-valued config
-    tree, so serialize_config/load_layout round-trips it exactly.
+    The dimensions and the operating point are the module constants above;
+    every channel but the loaded one carries 0 A.  The layout is built
+    through :func:`parse_config` from a um-valued config tree, so
+    serialize_config/load_layout round-trips it exactly.
     """
     def um(v: float) -> float:
         return _in_unit(v, UM)
 
-    y = -um(thickness) / 2.0
-    c = um(central_length) / 2.0
-    dx, dz = um(lead_dx), um(lead_dz)
-    hspan, z_e = um(end_wire_halfspan), um(end_wire_z)
+    y = -um(_THICKNESS) / 2.0
+    c = um(_CENTRAL_LENGTH) / 2.0
+    dx, dz = um(_LEAD_DX), um(_LEAD_DZ)
+    hspan, z_e = um(_END_WIRE_HALFSPAN), um(_END_WIRE_Z)
 
     def z_wire(name: str, x0: float, width: float) -> dict:
         return {
             "name": name, "channel": name,
-            "width_um": um(width), "thickness_um": um(thickness),
+            "width_um": um(width), "thickness_um": um(_THICKNESS),
             "nodes_um": [
                 [x0 - dx, y, -c - dz],
                 [x0, y, -c],
@@ -615,24 +632,24 @@ def builtin_paper_layout(
     def end_wire(name: str, z0: float) -> dict:
         return {
             "name": name, "channel": name,
-            "width_um": um(end_wire_width), "thickness_um": um(thickness),
+            "width_um": um(_END_WIRE_WIDTH), "thickness_um": um(_THICKNESS),
             "nodes_um": [[-hspan, y, z0], [hspan, y, z0]],
         }
 
     wires = [
-        z_wire("z1", -um(outer_separation) / 2.0, outer_width),
-        z_wire("z2", -um(inner_separation) / 2.0, inner_width),
-        z_wire("z3", um(inner_separation) / 2.0, inner_width),
-        z_wire("z4", um(outer_separation) / 2.0, outer_width),
+        z_wire("z1", -um(_OUTER_SEPARATION) / 2.0, _OUTER_WIDTH),
+        z_wire("z2", -um(_INNER_SEPARATION) / 2.0, _INNER_WIDTH),
+        z_wire("z3", um(_INNER_SEPARATION) / 2.0, _INNER_WIDTH),
+        z_wire("z4", um(_OUTER_SEPARATION) / 2.0, _OUTER_WIDTH),
         end_wire("e1", -z_e),
         end_wire("e2", z_e),
     ]
     config = {
         "wires": wires,
-        "bias": [_in_unit(bias_x, GAUSS), 0.0, 0.0],
+        "bias": [_in_unit(_BIAS_X, GAUSS), 0.0, 0.0],
         "currents": {w["channel"]: 0.0 for w in wires},
         "rf": {"frequency_kHz": 0.0, "channels": {}},
         "mirror_extent_um": [24000.0, 26000.0],
     }
-    config["currents"][loaded_channel] = loaded_current
+    config["currents"][_LOADED_CHANNEL] = _LOADED_CURRENT
     return parse_config(config)

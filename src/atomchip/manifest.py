@@ -2,9 +2,9 @@
 
 Every output file records the manifest that produced it (command, config,
 overrides, seed, tool version) as CSV comment lines or a JSON field.  The
-manifest also carries a wall-clock timestamp, but that field goes to the
-log only, never into files: fixed seed + fixed config must reproduce every
-output byte for byte.  Floats are written with 9 significant digits.
+manifest also carries a wall-clock timestamp, which is not written
+anywhere: fixed seed + fixed config must reproduce every output byte for
+byte.  Floats are written with 9 significant digits.
 """
 
 from __future__ import annotations

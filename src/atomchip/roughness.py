@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .constants import BOLTZMANN, HBAR, PLANCK
 from .errors import ChipError, ConfigError, GeometryError
-from .fields import BiotSavartModel
+from .fields import DEFAULT_N_THICKNESS, DEFAULT_N_WIDTH, BiotSavartModel
 from .geometry import AtomSpecies, ChipLayout, CurrentConfig, WireSegmentPath
 
 DENSITY_FLOOR_FRAC = 0.05  # points below this fraction of peak are excluded
@@ -73,11 +73,14 @@ class RandomDeviation:
     def __post_init__(self) -> None:
         if self.step > 5e-6 + 1e-12:
             raise ConfigError("random deviation grid step must be <= 5 um")
-        if not (0.0 < self.correlation_length < np.inf):
-            raise ConfigError(f"random deviation correlation length must be finite and > 0, "
-                              f"got {self.correlation_length:g} m")
-        if not np.isfinite(self.rms):
-            raise ConfigError(f"random deviation rms must be finite, got {self.rms:g} m")
+        span = self.z_max - self.z_min
+        # the noise grid spans the profile plus 10 correlation lengths, so at
+        # most 11 spans
+        if not (0.0 < self.correlation_length <= span and np.isfinite(span)):
+            raise ConfigError(f"random deviation correlation length must be > 0 and at most "
+                              f"the profile span {span:g} m, got {self.correlation_length:g} m")
+        if not (0.0 <= self.rms < np.inf):
+            raise ConfigError(f"random deviation rms must be finite and >= 0, got {self.rms:g} m")
         ell = self.correlation_length
         pad = 5.0 * ell
         grid = np.arange(self.z_min - pad, self.z_max + pad + self.step, self.step)
@@ -155,7 +158,8 @@ def profile_csv_rows(z_um, delta_Bz, delta_V, ratio) -> list[str]:
 
 def roughness_field(wire: WireSegmentPath, deviation, current: float, height: float,
                     z_values, species: AtomSpecies,
-                    n_width: int = 8, n_thickness: int = 3) -> RoughnessProfile:
+                    n_width: int = DEFAULT_N_WIDTH,
+                    n_thickness: int = DEFAULT_N_THICKNESS) -> RoughnessProfile:
     """dB_z(z) of the perturbed wire minus the straight wire at fixed height.
 
     Both wires are resampled identically, so a zero deviation gives exactly

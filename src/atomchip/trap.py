@@ -34,7 +34,7 @@ from .errors import (
     ChipError, ConfigError, ConvergenceError, FieldDomainError, FieldZeroError,
     SaddlePointError,
 )
-from .fields import BiotSavartModel
+from .fields import DOMAIN_PAD, BiotSavartModel
 from .geometry import AtomSpecies, CurrentConfig, Vec3, _dot3
 
 GRAD_TOL = 1e-26       # J/m
@@ -67,27 +67,27 @@ class PotentialDef:
 
 def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
                        species: AtomSpecies, gravity: bool = False) -> PotentialDef:
-    """Zeeman potential of the layout's field, optionally with gravity."""
-    g = np.asarray(species.gravity)
+    """Zeeman potential of the layout's field, optionally with gravity.
 
-    def energy(r: np.ndarray) -> float:
-        B = model.field(currents, r)[0]
-        u = species.zeeman_slope * float(np.linalg.norm(B))
-        if gravity:
-            u -= species.mass * float(np.dot(g, np.asarray(r, dtype=float)))
-        return u
+    U reads inf inside a conductor; ``field``, ``gradient`` and ``hessian``
+    raise FieldDomainError there, as the model does.
+    """
+    g = np.asarray(species.gravity)
 
     def energy_batch(points: np.ndarray) -> np.ndarray:
         """U at each point, inf inside a conductor; the field is evaluated
         outside conductors only."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        outside = model.conductor_index(points) < 0
+        outside = model.frames.first_containing(points, DOMAIN_PAD) < 0
         u = np.full(len(points), np.inf)
-        B = model.field(currents, points[outside], check_domain=False)
-        u[outside] = species.zeeman_slope * np.sqrt(_dot3(B, B))  # rounds as energy's norm
+        B = model.field(currents, points[outside])
+        u[outside] = species.zeeman_slope * np.sqrt(_dot3(B, B))  # rounds as np.linalg.norm
         if gravity:
             u = u - species.mass * (points @ g)
         return u
+
+    def energy(r: np.ndarray) -> float:
+        return float(energy_batch(r)[0])
 
     def field(r: np.ndarray) -> np.ndarray:
         return model.field(currents, r)[0]
@@ -182,6 +182,8 @@ def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
         try:
             return pdef.energy(x)
         except ChipError:
+            # e.g. an outer miter-corner filament node: it lies outside every
+            # segment box, and the field there is not finite
             return np.inf
 
     x, u = seed, U(seed)

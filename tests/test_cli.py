@@ -187,6 +187,19 @@ def test_roughness_random_bad_correlation_is_an_error(tmp_path, capsys, corr_um)
     assert not (tmp_path / "roughness.csv").exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--rms-nm=-20", "rms must be finite and >= 0, got -2e-08 m"),
+    ("--corr-um=1e8", "profile span 0.0016 m, got 100 m"),
+])
+def test_roughness_random_negative_rms_or_long_correlation_is_an_error(
+        tmp_path, capsys, option, message):
+    code = run(["roughness", "--kind", "random", "--seed", "1", option, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "roughness.csv").exists()
+
+
 def test_roughness_csv(tmp_path):
     assert run(["roughness", "--kind", "triangle", "--amplitude-nm", "20",
                 "--period-um", "800", "--points", "21", "--z-half-um", "200",

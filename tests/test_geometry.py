@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +309,11 @@ def test_point_inside_wire():
                        [26e-6, -1.5e-6, 0.0], [0.0, -1.5e-6, 1.2e-3]])
     inside = ConductorFrames((wire,)).first_containing(points) >= 0
     assert inside.tolist() == [True, True, False, False, False]
+
+
+def test_builtin_layout_serializes_to_paper_chip_config():
+    path = Path(__file__).resolve().parent.parent / "configs" / "paper_chip.json"
+    assert json.loads(serialize_config(*builtin_paper_layout())) == json.loads(path.read_text())
 
 
 def test_serialized_config_is_json(paper):

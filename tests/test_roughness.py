@@ -71,6 +71,15 @@ def test_random_deviation_reproducible_and_scaled():
     assert not np.array_equal(dev1.offsets(z), dev3.offsets(z))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(rms=-1e-9, correlation_length=1e-4), "rms must be finite and >= 0, got -1e-09 m"),
+    (dict(rms=1e-9, correlation_length=2e-3), "profile span 0.001 m, got 0.002 m"),
+])
+def test_random_deviation_rejects_negative_rms_and_long_correlation(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        RandomDeviation(seed=1, z_min=0.0, z_max=1e-3, **kwargs)
+
+
 def test_random_deviation_step_contract():
     with pytest.raises(ConfigError):
         RandomDeviation(rms=1e-9, correlation_length=1e-4, seed=1,

@@ -6,7 +6,9 @@ import pytest
 from scipy.optimize import brentq
 
 from atomchip.constants import BOHR_MAGNETON, GAUSS, MU_0, PLANCK
-from atomchip.errors import ConfigError, ConvergenceError, FieldZeroError, SaddlePointError
+from atomchip.errors import (
+    ConfigError, ConvergenceError, FieldDomainError, FieldZeroError, SaddlePointError,
+)
 from atomchip.fields import BiotSavartModel
 from atomchip.geometry import ChipLayout, CurrentConfig, WireSegmentPath, rb87_f2m2
 from atomchip.trap import (
@@ -59,13 +61,30 @@ def test_gravity_additivity(thin_model, species):
 
 @pytest.mark.parametrize("gravity", [False, True])
 def test_energy_batch_matches_energy_bitwise(paper_model, paper, species, gravity):
-    # trap_depth subtracts a single-point U from batch energies
+    # trap_depth subtracts a single-point U from batch energies; both equal
+    # the point-by-point formula with np.linalg.norm and np.dot
     _, currents, _ = paper
     pdef = magnetic_potential(paper_model, currents, species, gravity=gravity)
     x, y = np.meshgrid(np.linspace(-300e-6, 200e-6, 20), np.linspace(20e-6, 400e-6, 20))
     grid = np.column_stack([x.ravel(), y.ravel(), np.full(400, 30e-6)])
-    single = np.array([pdef.energy(p) for p in grid])
-    assert np.array_equal(pdef.energy_batch(grid), single)
+    g = np.asarray(species.gravity) if gravity else np.zeros(3)
+    reference = np.array([
+        species.zeeman_slope * float(np.linalg.norm(paper_model.field(currents, p)[0]))
+        - species.mass * float(np.dot(g, p)) for p in grid])
+    assert np.array_equal(pdef.energy_batch(grid), reference)
+    assert np.array_equal([pdef.energy(p) for p in grid], reference)
+
+
+@pytest.mark.parametrize("gravity", [False, True])
+def test_energy_is_infinite_inside_a_wire(paper_model, paper, species, gravity):
+    _, currents, _ = paper
+    pdef = magnetic_potential(paper_model, currents, species, gravity=gravity)
+    inside = np.array([-42.5e-6, -1.5e-6, 0.0])  # the centre of z2
+    assert pdef.energy(inside) == np.inf
+    u = pdef.energy_batch([inside, (0.0, 100e-6, 0.0)])
+    assert u[0] == np.inf and np.isfinite(u[1])
+    with pytest.raises(FieldDomainError, match="lies inside wire 'z2'"):
+        pdef.field(inside)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +494,7 @@ def test_depth_ray_completed_inside_a_conductor(thin_model, species):
     assert result == per_ray_depth(pdef, x0, **kw)
     assert np.isfinite(result[0])
     assert len(work) >= 3 and len(work[1]) == 1
-    assert thin_model.conductor_index(work[1])[0] == 0
+    assert thin_model.frames.first_containing(work[1])[0] == 0
 
 
 def test_depth_tie_goes_to_the_first_ray(species):
