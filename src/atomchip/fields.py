@@ -20,12 +20,21 @@ block sizes:
 The Jacobian dB_i/dx_j is closed form per segment too and is summed in
 the same blocked segment order, so it does not depend on chunking or
 threads either.
+
+Consecutive segments of a filament share a node.  The kernel finds these
+node runs (each segment starting at the previous one's end, bit for bit)
+and computes the vector a from each node to each point, |a|^2 and |a|, and
+for the Jacobian 1/|a|, once per node; a segment reads them at its start
+and at its end.  They are the bits the segment would compute itself, so
+sharing them changes no result.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -42,21 +51,39 @@ DEFAULT_N_THICKNESS = 3
 # memory and is the unit handed to workers.
 _CHUNK = 1024
 _SEGMENT_BLOCK = 256  # segments per kernel block
-# points x segments per kernel block; a block holds ~28 doubles per
-# point-segment, 1.8 MB at this size, which fits a 2 MB L2 cache (at 2**14 a
-# 1201-point slice of the builtin chip took ~1.5x longer)
+# points x segments per kernel block; a block holds 21 (long runs) to 30
+# (single segments) doubles per point-segment, at most 1.9 MB at this size,
+# which fits a 2 MB L2 cache (at 2**14 a 1201-point slice of the builtin
+# chip took ~1.5x longer)
 _KERNEL_POINT_SEGMENTS = 2**13
-# point coordinates in the kernel's layout, see _SegmentTable.ends_starts
-_AXES = np.array([0, 1, 2, 0, 1, 0, 1, 2, 0, 1])
+# point coordinates in the kernel's layout, see _SegmentTable.nodes
+_AXES = np.array([0, 1, 2, 0, 1])
 DOMAIN_PAD = 1e-9  # m, padding of the conductor test
+# each thread's kernel buffers, kept between calls: freed and allocated
+# again, buffers of a few 100 kB come back as fresh pages, and their page
+# faults took over half the time of a 113-point call on a 72-segment channel
+_WORKSPACE = threading.local()
+_VIEW_SETS = 64  # sets of buffer shapes whose views _buffers keeps
 _ONLINE_EPS = 1e-24  # (rho/L)^2 threshold: point on a segment's line contributes 0
 
 
 class _SegmentTable(NamedTuple):
     """One channel's segments, laid out for the kernel: one row per
-    coordinate, one column per segment."""
+    coordinate, one column per segment or node.
 
-    ends_starts: np.ndarray  # (2, 5, S): each end, then each start, as (x, y, z, x, y)
+    The segments come in node runs: inside a run each segment starts at the
+    previous one's end, bit for bit, so a run of L segments has L + 1 nodes
+    and the kernel computes each node's distance to a point once.  A kernel
+    block holds ``runs`` whole runs of one length, at most _SEGMENT_BLOCK
+    segments, or one piece of a longer run; two pieces of a run both hold
+    the node at their boundary.  Inside a block, segments and nodes go
+    position by position along the runs, run by run within a position: the
+    starts are then the block's first ``runs * length`` nodes and the ends
+    the same count from node ``runs`` on, both contiguous.
+    """
+
+    nodes: np.ndarray  # (5, M): the blocks' nodes as (x, y, z, x, y)
+    blocks: np.ndarray  # (B, 4): first segment, first node, runs, run length
     d_xzy: np.ndarray  # (3, S): segment vector / squared length, as (x, z, y)
     d_zxy: np.ndarray  # (3, S): the same as (z, x, y)
     d_yzx: np.ndarray  # (3, S): the same as (y, z, x)
@@ -67,13 +94,54 @@ class _SegmentTable(NamedTuple):
               fraction: float) -> "_SegmentTable":
         seg = ends - starts
         d = (seg / np.einsum("ij,ij->i", seg, seg)[:, None]).T
+        # a run goes on while a segment starts at the previous one's end
+        chained = np.all(np.ascontiguousarray(starts[1:]).view(np.int64)
+                         == np.ascontiguousarray(ends[:-1]).view(np.int64), axis=1)
+        blocks = []  # [first segment, first node, runs, run length]
+        lo = extra = 0  # extra: the nodes so far beyond one per segment
+        for hi in np.append(np.flatnonzero(~chained) + 1, len(seg)).tolist():
+            last = blocks[-1] if blocks else None
+            if last and last[3] == hi - lo and (last[2] + 1) * last[3] <= _SEGMENT_BLOCK:
+                last[2] += 1
+                extra += 1
+            else:
+                for s in range(lo, hi, _SEGMENT_BLOCK):
+                    blocks.append([s, s + extra, 1, min(_SEGMENT_BLOCK, hi - s)])
+                    extra += 1
+            lo = hi
+        # each block's segments position by position, run by run; its nodes
+        # are their starts, then the ends of the last position
+        columns = [(lo + length * np.arange(runs) + np.arange(length)[:, None]).ravel()
+                   for lo, _, runs, length in blocks]
+        nodes = np.concatenate([rows for column, (*_, runs, _) in zip(columns, blocks)
+                                for rows in (starts[column], ends[column[-runs:]])])
+        d = d[:, np.concatenate(columns)]
         return cls(
-            ends_starts=np.ascontiguousarray(
-                np.concatenate([ends, ends[:, :2], starts, starts[:, :2]], axis=1).T
-            ).reshape(2, 5, -1),
+            nodes=np.ascontiguousarray(nodes[:, _AXES].T),
+            blocks=np.array(blocks),
             d_xzy=d[[0, 2, 1]], d_zxy=d[[2, 0, 1]], d_yzx=d[[1, 2, 0]],
             scale=np.full((len(seg), 1), 1e-7 * fraction),
         )
+
+
+def _buffers(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Contiguous float arrays of ``shapes``, views of this thread's
+    workspace: they hold whatever the last call left there.  The views are
+    kept for the next call with the same shapes."""
+    views = getattr(_WORKSPACE, "views", {})
+    if shapes not in views:
+        sizes = [prod(shape) for shape in shapes]
+        flat = getattr(_WORKSPACE, "flat", np.empty(0))
+        if len(flat) < sum(sizes) or len(views) >= _VIEW_SETS:
+            views = _WORKSPACE.views = {}
+        if len(flat) < sum(sizes):
+            flat = _WORKSPACE.flat = np.empty(sum(sizes))
+        out, lo = [], 0
+        for shape, size in zip(shapes, sizes):
+            out.append(flat[lo:lo + size].reshape(shape))
+            lo += size
+        views[shapes] = out
+    return views[shapes]
 
 
 def _segment_field(points: np.ndarray, table: _SegmentTable,
@@ -85,62 +153,81 @@ def _segment_field(points: np.ndarray, table: _SegmentTable,
     Takes the points in pieces of at most _KERNEL_POINT_SEGMENTS // block
     points (see _piece_field).
     """
-    rows = max(1, _KERNEL_POINT_SEGMENTS // min(_SEGMENT_BLOCK, len(table.scale)))
+    blocks = table.blocks.tolist()
+    block = max(runs * length for *_, runs, length in blocks)
+    block_nodes = max(runs * (length + 1) for *_, runs, length in blocks)
+    rows = max(1, _KERNEL_POINT_SEGMENTS // block)
     out = np.empty((len(points), 12 if jacobian else 3))
     for lo in range(0, len(points), rows):
-        out[lo:lo + rows] = _piece_field(points[lo:lo + rows], table, jacobian).T
+        out[lo:lo + rows] = _piece_field(points[lo:lo + rows], table, blocks, block,
+                                         block_nodes, jacobian).T
     return out
 
 
-def _piece_field(points: np.ndarray, table: _SegmentTable,
-                 jacobian: bool = False) -> np.ndarray:
+def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: int,
+                 block_nodes: int, jacobian: bool) -> np.ndarray:
     """(3, N) field of ``table``'s segments at ``points``, _segment_field's
-    arithmetic on blocks of _SEGMENT_BLOCK segments at a time, each quantity
-    one contiguous (segments x points) plane; each block's terms are added to
-    a running per-point sum in segment order (module docstring).
+    arithmetic one block at a time, each quantity one contiguous (segments
+    or nodes x points) plane; each block's terms are added to a running
+    per-point sum in segment order (module docstring).
+
+    A block computes a = point - node, |a|^2 and |a| once per node; its
+    segments read a1 = a at their start and a2 = a at their end, and |a1|
+    and |a2|, as views of those node planes (_SegmentTable).
 
     With ``jacobian`` the result is (12, N): the field, then the closed-form
     dB_i/dx_j of each segment term coeff * f (f = a1 x d), summed the same
     way: d(coeff f)/dx = f (x) grad(coeff) - coeff [d]x, where
     grad(d.a / |a|) = d / |a| - (d.a) a / |a|^3 and grad |f|^2 = 2 d x f.
+
+    The result is a view of this thread's workspace (_buffers), valid until
+    the thread's next call.
     """
-    n_seg = len(table.scale)
-    block = min(_SEGMENT_BLOCK, n_seg)
-    p = points[:, _AXES].T.reshape(2, 5, 1, -1)
+    p = np.ascontiguousarray(points[:, _AXES].T)[:, None]
     n = p.shape[-1]
-    a_buf = np.empty((2, 5, block, n))
-    r_buf = np.empty((4, 3, block, n))
-    f_buf = np.empty((3, block, n))
-    terms = np.empty((block + 1, 3, n))  # running sum, then one row per segment
+    # per node: a as (x, y, z, x, y), |a|, and with ``jacobian`` 1 / |a|;
+    # terms: the running sum, then one row per segment, and jterms the same
+    # for f (x) grad(coeff) as 9 rows, then coeff * d as 3 rows
+    a_buf, r_buf, f_buf, terms, jterms = _buffers(
+        (7 if jacobian else 6, block_nodes, n), (3, block_nodes + 2 * block, n),
+        (3, block, n), (block + 1, 3, n), (block + 1, 12, n) if jacobian else (0,))
     terms[0] = 0.0
     if jacobian:
-        # f (x) grad(coeff) as 9 rows, then coeff * d as 3 rows
-        jterms = np.empty((block + 1, 12, n))
         jterms[0] = 0.0
-    for lo in range(0, n_seg, block):
-        hi = min(lo + block, n_seg)
-        b = hi - lo
-        # a2 = point - end, a1 = point - start, each as (x, y, z, x, y)
-        a = np.subtract(p, table.ends_starts[:, :, lo:hi, None], out=a_buf[:, :, :b])
-        # products: a2 * a2 and a1 * a1 as (x, y, z), a2 * d and a1 * d as (x, z, y)
-        r = r_buf[:, :, :b]
-        np.multiply(a[:, :3], a[:, :3], out=r[:2])
-        np.multiply(a[:, ::2], table.d_xzy[:, lo:hi, None], out=r[2:])
-        sums = np.add(r[:, 0], r[:, 1], out=r[:, 0])
-        sums += r[:, 2]  # |a2|^2, |a1|^2, d.a2, d.a1
-        np.sqrt(sums[:2], out=sums[:2])
-        sums[2:] /= sums[:2]
+    for lo, node, runs, length in blocks:
+        b = runs * length
+        m = b + runs
+        hi = lo + b
+        a = np.subtract(p, table.nodes[:, node:node + m, None], out=a_buf[:5, :m])
+        # each node quantity at the segments' starts, then at their ends
+        step = a_buf.strides[1]
+        at_ends = np.ndarray((len(a_buf), 2, b, n), buffer=a_buf,
+                             strides=(a_buf.strides[0], runs * step, step, 8))
+        a1, a2 = at_ends[:5, 0], at_ends[:5, 1]  # point - start, point - end
+        # products: a * a as (x, y, z) per node, then a1 * d and a2 * d as
+        # (x, z, y) per segment
+        r = r_buf[:, :m + 2 * b]
+        np.multiply(a[:3], a[:3], out=r[:, :m])
+        np.multiply(at_ends[:5:2], table.d_xzy[:, None, lo:hi, None],
+                    out=r[:, m:].reshape(3, 2, b, n))
+        sums = np.add(r[0], r[1], out=r[0])
+        sums += r[2]  # |a|^2 per node, then d.a1 and d.a2 per segment
+        np.sqrt(sums[:m], out=a_buf[5, :m])
+        dots = sums[m:].reshape(2, b, n)
+        dots /= at_ends[5]
         if jacobian:
             d = table.d_xzy[[0, 2, 1], lo:hi, None]
-            inv = 1.0 / sums[:2]
-            along = sums[2:] * inv * inv
-            grad_sine = d * (inv[0] - inv[1]) - along[0] * a[0, :3] + along[1] * a[1, :3]
-        sine = np.subtract(sums[2], sums[3], out=sums[2])
+            np.divide(1.0, a_buf[5, :m], out=a_buf[6, :m])
+            inv = at_ends[6]
+            along = dots * inv * inv
+            grad_sine = d * (inv[1] - inv[0]) - along[1] * a2[:3] + along[0] * a1[:3]
+        sine = np.subtract(dots[1], dots[0], out=dots[1])
         # f = a1 x d
-        a1 = a[1]
-        f = np.multiply(a1[1:4], table.d_zxy[:, lo:hi, None], out=f_buf[:, :b])
-        f -= np.multiply(a1[2:5], table.d_yzx[:, lo:hi, None], out=r[0])
-        ff = np.multiply(f, f, out=r[0])
+        f = f_buf[:, :b]
+        scratch = r_buf[1, :3 * b].reshape(3, b, n)  # free once the products are summed
+        np.multiply(a1[1:4], table.d_zxy[:, lo:hi, None], out=f)
+        f -= np.multiply(a1[2:5], table.d_yzx[:, lo:hi, None], out=scratch)
+        ff = np.multiply(f, f, out=scratch)
         s2 = np.add(ff[0], ff[2], out=ff[0])
         s2 += ff[1]
         online = s2 < _ONLINE_EPS
@@ -151,7 +238,9 @@ def _piece_field(points: np.ndarray, table: _SegmentTable,
         coeff /= s2
         if any_online:
             coeff[online] = 0.0
-        np.multiply(coeff, f, out=terms[1:b + 1].transpose(1, 0, 2))
+        # the terms go in segment order, run by run
+        np.multiply(coeff.reshape(length, runs, n), f.reshape(3, length, runs, n),
+                    out=terms[1:b + 1].reshape(runs, length, 3, n).transpose(2, 1, 0, 3))
         # numpy sums pairwise along a contiguous reduced axis (a segments
         # axis of a single point would be one); reduced over its first
         # axis, this (segments, 3, points) array is added row after row
@@ -162,9 +251,10 @@ def _piece_field(points: np.ndarray, table: _SegmentTable,
             grad_coeff /= s2
             if any_online:
                 grad_coeff[:, online] = 0.0
-            seg_terms = jterms[1:b + 1].transpose(1, 0, 2)
-            seg_terms[:9] = (f[:, None] * grad_coeff).reshape(9, b, n)
-            np.multiply(coeff, d, out=seg_terms[9:])
+            seg_terms = jterms[1:b + 1].reshape(runs, length, 12, n).transpose(2, 1, 0, 3)
+            seg_terms[:9] = (f[:, None] * grad_coeff).reshape(9, length, runs, n)
+            np.multiply(coeff.reshape(length, runs, n), d.reshape(3, length, runs, 1),
+                        out=seg_terms[9:])
             jterms[0] = np.add.reduce(jterms[:b + 1], axis=0)
     if not jacobian:
         return terms[0]

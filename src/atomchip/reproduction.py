@@ -28,8 +28,8 @@ from .geometry import (
 )
 from .rf import RfDriveState, dressed_potential, split_scan
 from .roughness import (
-    TriangleDeviation, contact_interaction_constant, invert_density_boltzmann,
-    invert_density_thomas_fermi, remove_harmonic_background, roughness_field,
+    TriangleDeviation, _roughness_profiles, contact_interaction_constant,
+    invert_density_boltzmann, invert_density_thomas_fermi, remove_harmonic_background,
     thomas_fermi_linear_density,
 )
 from .thermal import (
@@ -236,15 +236,13 @@ def roughness_test_wire() -> WireSegmentPath:
 def check_roughness() -> list[CheckRow]:
     species = rb87_f2m2()
     wire = roughness_test_wire()
-    dev = TriangleDeviation(amplitude=20e-9, period=800e-6)  # 20 nm per 200 um run
     z = np.linspace(-800e-6, 800e-6, 161)
-    prof = roughness_field(wire, dev, current=2.0, height=150e-6,
-                           z_values=z, species=species)
+    # 20 nm per 200 um run, and twice that; one straight-wire field for both
+    prof, prof2 = _roughness_profiles(
+        wire, (TriangleDeviation(amplitude=20e-9, period=800e-6),
+               TriangleDeviation(amplitude=40e-9, period=800e-6)),
+        current=2.0, height=150e-6, z_values=z, species=species)
     ratio = float(np.max(np.abs(prof.ratio_to_main)))
-
-    dev2 = TriangleDeviation(amplitude=40e-9, period=800e-6)
-    prof2 = roughness_field(wire, dev2, current=2.0, height=150e-6,
-                            z_values=z, species=species)
     d1 = np.asarray(prof.delta_Bz)
     d2 = np.asarray(prof2.delta_Bz)
     nonlin = float(np.max(np.abs(d2 - 2.0 * d1)) / np.max(np.abs(d2)))

@@ -169,6 +169,16 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
     lies along z (Esteve et al., PRA 70, 043629 (2004)), and ratio_to_main
     divides dB_z by the straight wire's field magnitude pointwise.
     """
+    return _roughness_profiles(wire, (deviation,), current, height, z_values, species,
+                               n_width, n_thickness)[0]
+
+
+def _roughness_profiles(wire: WireSegmentPath, deviations, current: float, height: float,
+                        z_values, species: AtomSpecies,
+                        n_width: int = DEFAULT_N_WIDTH,
+                        n_thickness: int = DEFAULT_N_THICKNESS) -> list[RoughnessProfile]:
+    """roughness_field of each of ``deviations``, against one evaluation of
+    the straight wire."""
     if height <= 0.0:
         raise ConfigError("evaluation height must be > 0")
     z_values = np.asarray(z_values, dtype=float)
@@ -178,26 +188,29 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
     points = np.column_stack([
         np.full_like(z_values, x_eval), np.full_like(z_values, height), z_values
     ])
-
-    straight = perturb_wire(wire, None)
-    bent = perturb_wire(wire, deviation)
+    bents = [perturb_wire(wire, deviation) for deviation in deviations]
     currents = CurrentConfig(dc={wire.channel: current})
-    model_s = BiotSavartModel(ChipLayout(wires=(straight,)), n_width, n_thickness)
-    model_b = BiotSavartModel(ChipLayout(wires=(bent,)), n_width, n_thickness)
-    B_s = model_s.field(currents, points)
-    B_b = model_b.field(currents, points)
-    delta_bz = B_b[:, 2] - B_s[:, 2]
-    # a trap whose bottom field lies along z feels the first-order change
-    # delta_Bz; the bare wire's |B| changes only to second order, as the
-    # wire field is perpendicular to delta_Bz
-    delta_v = species.zeeman_slope * delta_bz
-    ratio = delta_bz / np.linalg.norm(B_s, axis=1)
-    return RoughnessProfile(
-        z=tuple(z_values.tolist()),
-        delta_Bz=tuple(delta_bz.tolist()),
-        delta_V=tuple(delta_v.tolist()),
-        ratio_to_main=tuple(ratio.tolist()),
-    )
+
+    def field(w: WireSegmentPath) -> np.ndarray:
+        model = BiotSavartModel(ChipLayout(wires=(w,)), n_width, n_thickness)
+        return model.field(currents, points)
+
+    B_s = field(perturb_wire(wire, None))
+    profiles = []
+    for bent in bents:
+        delta_bz = field(bent)[:, 2] - B_s[:, 2]
+        # a trap whose bottom field lies along z feels the first-order change
+        # delta_Bz; the bare wire's |B| changes only to second order, as the
+        # wire field is perpendicular to delta_Bz
+        delta_v = species.zeeman_slope * delta_bz
+        ratio = delta_bz / np.linalg.norm(B_s, axis=1)
+        profiles.append(RoughnessProfile(
+            z=tuple(z_values.tolist()),
+            delta_Bz=tuple(delta_bz.tolist()),
+            delta_V=tuple(delta_v.tolist()),
+            ratio_to_main=tuple(ratio.tolist()),
+        ))
+    return profiles
 
 
 # ---------------------------------------------------------------------------

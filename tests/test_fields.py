@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +364,58 @@ def test_kernel_bitwise_equal_to_einsum_reference(paper, n):
         assert np.all(np.isfinite(got))
 
 
+def _random_runs(rng, lengths):
+    """(starts, ends) of random polylines below the chip surface with the
+    given segment counts, one after another: a run of each length."""
+    starts, ends = [], []
+    for length in lengths:
+        nodes = rng.uniform(-1e-4, 1e-4, 3) + np.cumsum(rng.normal(0.0, 2e-5, (length + 1, 3)),
+                                                        axis=0)
+        nodes[:, 1] = rng.uniform(-3e-6, 0.0, length + 1)
+        starts.append(nodes[:-1])
+        ends.append(nodes[1:])
+    return np.concatenate(starts), np.concatenate(ends)
+
+
+# blocks as [first segment, first node, runs, run length]
+_RUN_CASES = {
+    # three runs longer than a block: every run is cut inside
+    "3x300": ([300] * 3, [[0, 0, 1, 256], [256, 257, 1, 44], [300, 302, 1, 256],
+                          [556, 559, 1, 44], [600, 604, 1, 256], [856, 861, 1, 44]]),
+    # four runs in one block, runs of one segment, then a cut run
+    "mixed": ([60] * 5 + [1] * 3 + [300], [[0, 0, 4, 60], [240, 244, 1, 60], [300, 305, 3, 1],
+                                           [303, 311, 1, 256], [559, 568, 1, 44]]),
+    "one segment": ([1], [[0, 0, 1, 1]]),
+    # 300 random segments, no two chained
+    "unchained": ([1] * 300, [[0, 0, 256, 1], [256, 512, 44, 1]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_kernel_runs_bitwise_equal_to_einsum_reference(case):
+    lengths, blocks = _RUN_CASES[case]
+    rng = np.random.default_rng(len(lengths))
+    starts, ends = _random_runs(rng, lengths)
+    table = _SegmentTable.build(starts, ends, 0.25)
+    assert table.blocks.tolist() == blocks
+    points = _kernel_points(_TILTED, rng, 40)
+    expected = _einsum_segment_field(points, starts, ends, np.full(len(starts), 0.25))
+    assert _segment_field(points, table).tobytes() == expected.tobytes()
+
+
+def test_kernel_field_and_jacobian_independent_of_block_size(monkeypatch):
+    # runs cut into many pieces, or few runs per block: the same bits
+    rng = np.random.default_rng(7)
+    starts, ends = _random_runs(rng, _RUN_CASES["mixed"][0])
+    points = _kernel_points(_TILTED, rng, 40)
+    results = []
+    for block in (5, 64, 256):
+        monkeypatch.setattr("atomchip.fields._SEGMENT_BLOCK", block)
+        results.append(_segment_field(points, _SegmentTable.build(starts, ends, 0.25),
+                                      jacobian=True).tobytes())
+    assert results[0] == results[1] == results[2]
+
+
 def test_kernel_memory_is_bounded():
     # 161 points against 28,800 segments: the profile that sets the peak
     # memory of roughness_field
@@ -479,3 +533,20 @@ def test_field_and_jacobian_single_point_matches_field(thin_model):
     B, J = thin_model.field_and_jacobian(cur, (0.0, 140e-6, 10e-6))
     assert B.shape == (1, 3) and J.shape == (1, 3, 3)
     assert B.tobytes() == thin_model.field(cur, (0.0, 140e-6, 10e-6)).tobytes()
+
+
+def _hex_rows(rows):
+    return [[float(v).hex() for v in row] for row in np.reshape(rows, (len(rows), -1))]
+
+
+@pytest.mark.parametrize("case", ["builtin/z1", "builtin/z2", "builtin/z3", "builtin/z4",
+                                  "builtin/e1", "builtin/e2", "tilted/t"])
+def test_field_and_jacobian_bitwise_equal_to_goldens(paper_model, case):
+    # float.hex goldens of one channel at 1 A and 10 seeded points above the
+    # layout, recorded before the kernel shared its filament nodes
+    golden = json.loads((Path(__file__).parent / "data" / "jacobian_goldens.json").read_text())[case]
+    model = paper_model if case.startswith("builtin/") else BiotSavartModel(_TILTED)
+    points = np.array([[float.fromhex(v) for v in row] for row in golden["points"]])
+    B, J = model.field_and_jacobian(CurrentConfig(dc={case.split("/")[1]: 1.0}), points)
+    assert _hex_rows(B) == golden["B"]
+    assert _hex_rows(J) == golden["J"]

@@ -4,10 +4,11 @@ from scipy import integrate, special
 
 from atomchip.constants import BOHR_MAGNETON, BOLTZMANN, GAUSS, MU_0, PLANCK
 from atomchip.errors import ChipError, ConfigError, GeometryError
+from atomchip.fields import BiotSavartModel
 from atomchip.geometry import WireSegmentPath
 from atomchip.reproduction import roughness_test_wire
 from atomchip.roughness import (
-    RandomDeviation, SinusoidDeviation, TriangleDeviation,
+    RandomDeviation, SinusoidDeviation, TriangleDeviation, _roughness_profiles,
     contact_interaction_constant, invert_density_boltzmann,
     invert_density_thomas_fermi, perturb_wire, remove_harmonic_background,
     roughness_field, thomas_fermi_linear_density, thomas_fermi_mu_from_number,
@@ -105,6 +106,21 @@ def test_linearity_in_deviation_amplitude(straight_wire, species):
     p2 = roughness_field(straight_wire, TriangleDeviation(40e-9, 800e-6), **kw)
     d1, d2 = np.asarray(p1.delta_Bz), np.asarray(p2.delta_Bz)
     assert np.max(np.abs(d2 - 2 * d1)) / np.max(np.abs(d2)) < 0.02
+
+
+def test_profiles_share_one_straight_wire_field(straight_wire, species, monkeypatch):
+    # each profile has roughness_field's bits, from one straight-wire field
+    z = np.linspace(-400e-6, 400e-6, 21)
+    kw = dict(current=2.0, height=150e-6, z_values=z, species=species,
+              n_width=4, n_thickness=1)
+    deviations = (TriangleDeviation(20e-9, 800e-6), SinusoidDeviation(30e-9, 400e-6))
+    alone = [repr(roughness_field(straight_wire, dev, **kw)) for dev in deviations]
+    calls = []
+    field = BiotSavartModel.field
+    monkeypatch.setattr(BiotSavartModel, "field",
+                        lambda self, *args: calls.append(self) or field(self, *args))
+    assert [repr(p) for p in _roughness_profiles(straight_wire, deviations, **kw)] == alone
+    assert len(calls) == 3
 
 
 def test_height_smoothing_monotone(species):
