@@ -187,10 +187,12 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
     n = p.shape[-1]
     # per node: a as (x, y, z, x, y), |a|, and with ``jacobian`` 1 / |a|;
     # terms: the running sum, then one row per segment, and jterms the same
-    # for f (x) grad(coeff) as 9 rows, then coeff * d as 3 rows
-    a_buf, r_buf, f_buf, terms, jterms = _buffers(
+    # for f (x) grad(coeff) as 9 rows, then coeff * d as 3 rows; g_buf holds
+    # the Jacobian's per-segment quantities
+    a_buf, r_buf, f_buf, terms, jterms, g_buf = _buffers(
         (7 if jacobian else 6, block_nodes, n), (3, block_nodes + 2 * block, n),
-        (3, block, n), (block + 1, 3, n), (block + 1, 12, n) if jacobian else (0,))
+        (3, block, n), (block + 1, 3, n), *(((block + 1, 12, n), (9, block, n))
+                                            if jacobian else ((0,), (0,))))
     terms[0] = 0.0
     if jacobian:
         jterms[0] = 0.0
@@ -219,8 +221,14 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
             d = table.d_xzy[[0, 2, 1], lo:hi, None]
             np.divide(1.0, a_buf[5, :m], out=a_buf[6, :m])
             inv = at_ends[6]
-            along = dots * inv * inv
-            grad_sine = d * (inv[1] - inv[0]) - along[1] * a2[:3] + along[0] * a1[:3]
+            g = g_buf[:, :b]
+            # along = dots * inv * inv in rows 0-1, then grad_sine =
+            # d * (inv[1] - inv[0]) - along[1] * a2 + along[0] * a1 in rows 3-5
+            along = np.multiply(dots, inv, out=g[:2])
+            along *= inv
+            grad_sine = np.multiply(d, np.subtract(inv[1], inv[0], out=g[2]), out=g[3:6])
+            grad_sine -= np.multiply(along[1], a2[:3], out=g[6:9])
+            grad_sine += np.multiply(along[0], a1[:3], out=g[6:9])
         sine = np.subtract(dots[1], dots[0], out=dots[1])
         # f = a1 x d
         f = f_buf[:, :b]
@@ -246,13 +254,25 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
         # axis, this (segments, 3, points) array is added row after row
         terms[0] = np.add.reduce(terms[:b + 1], axis=0)
         if jacobian:
-            grad_coeff = table.scale[lo:hi] * grad_sine
-            grad_coeff -= 2.0 * coeff * np.cross(d, f, axis=0)
+            grad_coeff = np.multiply(table.scale[lo:hi], grad_sine, out=grad_sine)
+            # grad_coeff -= 2 coeff (d x f), the cross product in rows 6-8
+            # with np.cross's products and roundings
+            cross, tmp = g[6:9], g[0]
+            np.multiply(d[1], f[2], out=cross[0])
+            cross[0] -= np.multiply(d[2], f[1], out=tmp)
+            np.multiply(d[2], f[0], out=cross[1])
+            cross[1] -= np.multiply(d[0], f[2], out=tmp)
+            np.multiply(d[0], f[1], out=cross[2])
+            cross[2] -= np.multiply(d[1], f[0], out=tmp)
+            cross *= np.multiply(2.0, coeff, out=g[1])
+            grad_coeff -= cross
             grad_coeff /= s2
             if any_online:
                 grad_coeff[:, online] = 0.0
             seg_terms = jterms[1:b + 1].reshape(runs, length, 12, n).transpose(2, 1, 0, 3)
-            seg_terms[:9] = (f[:, None] * grad_coeff).reshape(9, length, runs, n)
+            np.multiply(f.reshape(3, 1, length, runs, n),
+                        grad_coeff.reshape(1, 3, length, runs, n),
+                        out=seg_terms[:9].reshape(3, 3, length, runs, n))
             np.multiply(coeff.reshape(length, runs, n), d.reshape(3, length, runs, 1),
                         out=seg_terms[9:])
             jterms[0] = np.add.reduce(jterms[:b + 1], axis=0)
@@ -297,18 +317,33 @@ class BiotSavartModel:
     def field(self, currents: CurrentConfig, points: np.ndarray) -> np.ndarray:
         """B = bias + sum over channels of I_ch * unit field, (N,3); raises
         FieldDomainError naming the first point inside a conductor."""
-        return self._superpose(currents, points, currents.bias, self.channel_unit_field)
+        return self.field_and_unit_fields(currents, points)[0]
+
+    def field_and_unit_fields(self, currents: CurrentConfig, points: np.ndarray,
+                              channels=()) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """(B, unit fields): B as ``field`` gives it, and the unit field of
+        every channel it used or that ``channels`` names, each evaluated once.
+
+        The field is linear in each channel current, so a caller that
+        rescales some currents (the rf drive of a split scan) superposes
+        these unit fields again instead of evaluating them anew.
+        """
+        return self._superpose(currents, points, currents.bias, self.channel_unit_field,
+                               channels)
 
     def field_and_jacobian(self, currents: CurrentConfig,
                            points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B (N,3), dB_i/dx_j (N,3,3) in T/m), both closed form; B has the
         bits of ``field``, and the points are checked as there."""
-        out = self._superpose(
+        out, _ = self._superpose(
             currents, points, tuple(currents.bias) + (0.0,) * 9,
             lambda channel, pts: _segment_field(pts, self._channels[channel], jacobian=True))
         return out[:, :3], out[:, 3:].reshape(-1, 3, 3)
 
-    def _superpose(self, currents, points, bias, unit) -> np.ndarray:
+    def _superpose(self, currents, points, bias, unit, channels=()):
+        """(bias + sum over channels of I_ch * ``unit(channel, points)``, the
+        unit values computed for the channels with a current or in
+        ``channels``); raises FieldDomainError as ``field`` documents."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         index = self.frames.first_containing(points, DOMAIN_PAD)
         if index.max(initial=-1) >= 0:
@@ -317,13 +352,16 @@ class BiotSavartModel:
             raise FieldDomainError(f"point ({x:.3f}, {y:.3f}, {z:.3f}) um lies inside "
                                    f"wire {self.layout.wires[index[k]].name!r}")
         B = np.tile(np.asarray(bias, dtype=float), (len(points), 1))
+        units = {}
         for channel in self._channels:
             amps = currents.dc_current(channel)
+            if amps != 0.0 or channel in channels:
+                units[channel] = unit(channel, points)
             if amps != 0.0:
-                B = B + amps * unit(channel, points)
+                B = B + amps * units[channel]
         if not np.isfinite(B).all():
             raise FieldDomainError("non-finite field value (point too close to a filament)")
-        return B
+        return B, units
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,13 @@ class ChipLayout:
 
 @dataclass(frozen=True)
 class RfChannelDrive:
+    """One channel's rf current I(t) = amplitude * cos(omega t - phase).
+
+    The channel adds amplitude * e^{i phase} times its unit field to the rf
+    phasor B_1, whose field is Re(B_1 e^{-i omega t}): ``phase`` is a phase
+    lag (see ``atomchip.rf``).
+    """
+
     amplitude: float  # A
     phase: float      # rad
 

@@ -12,12 +12,24 @@ static field (the longitudinal component is discarded; for a linearly
 polarized transverse drive of amplitude B1 this gives the standard
 hbar*Omega = (zeeman_slope/m_tilde)*B1/2).  Counter-rotating corrections
 are neglected; validity requires Omega, delta << omega_rf.
+
+Phase convention: the rf field phasor is B_1 = sum over channels of
+A e^{i phi} u_ch (u_ch the channel's field per ampere) and the field is
+Re(B_1 e^{-i omega t}), so channel ch carries I_ch(t) = A cos(omega t - phi):
+phi is a phase lag.  The coupling component is the one that turns
+counter-clockwise about B (right-handed about b_hat), the sense of the
+Larmor precession for g_F > 0.  The sign of g_F is not a parameter yet.
+
+A dressed potential is the composition of a part that depends on B only
+(|B|, b_hat, the transverse frame and hbar*delta) and a part per phasor
+(the co-rotating projection, hbar*Omega and the root), so a split scan
+builds the first once per slice and reuses it for every ramp amplitude.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,13 +84,20 @@ def _phasor(drive: RfDriveState, unit_field, n_points: int) -> np.ndarray:
     return phasor
 
 
-def _transverse_circular_amplitude(B_static: np.ndarray, phasor: np.ndarray) -> np.ndarray:
-    """|co-rotating circular component| of the phasor perpendicular to B.
+class _DressingFrame(NamedTuple):
+    """The part of the dressing that depends on the static field only."""
 
-    Vectorized over leading axes; returns |B_1 . e1 - i B_1 . e2| / 2 with
-    (e1, e2, b_hat) a right-handed local frame.  Invariant under rotations
-    of (e1, e2) about b_hat and under a global phasor phase.
-    """
+    h_delta: np.ndarray  # hbar*delta per point, J
+    e1: np.ndarray       # (..., 3): with e2 and b_hat a right-handed frame
+    e2: np.ndarray
+    per_m: float         # zeeman_slope / m_tilde, J/T
+    m_tilde: int
+
+
+def _dressing_frame(B_static, frequency: float, species: AtomSpecies,
+                    m_tilde: int) -> _DressingFrame:
+    """|B|, b_hat, the transverse frame (e1, e2) and hbar*delta, vectorized
+    over leading axes; raises FieldDomainError where B is 0."""
     b = np.asarray(B_static, dtype=float)
     bmag = np.linalg.norm(b, axis=-1, keepdims=True)
     if np.any(bmag == 0.0):
@@ -92,28 +111,39 @@ def _transverse_circular_amplitude(B_static: np.ndarray, phasor: np.ndarray) -> 
     e1 = np.cross(ref, b_hat)
     e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = np.cross(b_hat, e1)
-    c = (np.einsum("...j,...j->...", phasor, e1)
-         - 1j * np.einsum("...j,...j->...", phasor, e2)) / 2.0
-    return np.abs(c)
+    per_m = species.zeeman_slope / m_tilde
+    return _DressingFrame(per_m * bmag[..., 0] - PLANCK * frequency, e1, e2, per_m, m_tilde)
+
+
+def _rabi(frame: _DressingFrame, phasor: np.ndarray) -> np.ndarray:
+    """hbar*Omega = per_m |c| with c = (B_1 . e1 - i B_1 . e2) / 2 the
+    co-rotating circular component of the phasor perpendicular to B.
+
+    |c| does not change under rotations of (e1, e2) about b_hat or under a
+    global phasor phase.
+    """
+    c = (np.einsum("...j,...j->...", phasor, frame.e1)
+         - 1j * np.einsum("...j,...j->...", phasor, frame.e2)) / 2.0
+    return frame.per_m * np.abs(c)
+
+
+def _dressed(frame: _DressingFrame, phasor: np.ndarray) -> np.ndarray:
+    """m_tilde * sqrt((hbar delta)^2 + (hbar Omega)^2) from a frame and a phasor."""
+    return frame.m_tilde * np.hypot(frame.h_delta, _rabi(frame, phasor))
 
 
 def dressed_components(B_static, phasor, frequency: float, species: AtomSpecies,
                        m_tilde: int = 2):
     """(hbar*delta, hbar*Omega) per point, both in joules."""
-    per_m = species.zeeman_slope / m_tilde
-    bmag = np.linalg.norm(np.asarray(B_static, dtype=float), axis=-1)
-    if np.any(bmag == 0.0):
-        raise FieldDomainError("zero static field: quantization axis undefined")
-    h_delta = per_m * bmag - PLANCK * frequency
-    h_omega = per_m * _transverse_circular_amplitude(B_static, np.asarray(phasor))
-    return h_delta, h_omega
+    frame = _dressing_frame(B_static, frequency, species, m_tilde)
+    return frame.h_delta, _rabi(frame, np.asarray(phasor))
 
 
 def dressed_potential(B_static, phasor, frequency: float, species: AtomSpecies,
                       m_tilde: int = 2):
     """Adiabatic dressed-level energy m_tilde*sqrt((hbar d)^2+(hbar W)^2), J."""
-    h_delta, h_omega = dressed_components(B_static, phasor, frequency, species, m_tilde)
-    return m_tilde * np.hypot(h_delta, h_omega)
+    return _dressed(_dressing_frame(B_static, frequency, species, m_tilde),
+                    np.asarray(phasor))
 
 
 def dressed_potential_line(model: BiotSavartModel, currents: CurrentConfig,
@@ -279,19 +309,19 @@ def split_scan(model: BiotSavartModel, currents: CurrentConfig, species: AtomSpe
     static = magnetic_potential(model, currents, species)
     center = find_trap_minimum(static, seed_point).minimum
 
-    # the ramp rescales the rf currents only, so each slice size needs the
-    # static field and the per-channel unit fields once
+    # the field is linear in each channel current and the ramp rescales the
+    # rf currents only, so each slice size needs B, the rf channels' unit
+    # fields and the dressing frame once
+    rf_channels = [ch for ch, d in drive.channels.items() if d.amplitude != 0.0]
     slices = {}
 
     def dressed_slice(scaled: RfDriveState, n: int):
         if n not in slices:
             s, points = _slice_points(center, direction, halfwidth, n)
-            B = model.field(currents, points)
-            slices[n] = s, B, {ch: model.channel_unit_field(ch, points)
-                               for ch, d in drive.channels.items() if d.amplitude != 0.0}
-        s, B, units = slices[n]
-        phasor = _phasor(scaled, units.__getitem__, len(s))
-        return s, dressed_potential(B, phasor, scaled.frequency, species, scaled.m_tilde)
+            B, units = model.field_and_unit_fields(currents, points, rf_channels)
+            slices[n] = s, units, _dressing_frame(B, drive.frequency, species, drive.m_tilde)
+        s, units, frame = slices[n]
+        return s, _dressed(frame, _phasor(scaled, units.__getitem__, len(s)))
 
     reports = []
     for a in amplitudes:

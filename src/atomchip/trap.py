@@ -9,7 +9,10 @@ B/|B|) is exact from the closed-form field Jacobian; its Hessian is
 whose first term carries the trap's own length scale |B| / ||J|| and is
 exact, and whose second term is a central difference of the analytic J.
 Minima come from one trust-region Newton solve from the seed; frequencies
-and principal axes from one Hessian.
+and principal axes from one Hessian.  A Newton step of a magnetic potential
+takes U's gradient and Hessian from one Jacobian batch of 7 points, the
+point and its neighbours one difference step away along each axis; where a
+conductor lies within that step it takes the gradient alone from the point.
 
 Numerical defaults (documented): Jacobian difference step 1 um (B is smooth
 on the wire scale, so its error is ~ (step / wire distance)^2); the solve
@@ -40,6 +43,7 @@ from .geometry import AtomSpecies, CurrentConfig, Vec3, _dot3
 GRAD_TOL = 1e-26       # J/m
 _STEP_TOL = 1e-13      # m
 _JACOBIAN_STEP = 1e-6  # m, central difference of J in the Hessian
+_SHIFTS = np.vstack([np.eye(3), -np.eye(3)]) * _JACOBIAN_STEP  # the stencil's offsets
 _INITIAL_RADIUS = 10e-6  # m, first trust radius of the minimum search
 _DOMAIN_HALFWIDTH = 500e-6  # m, half-width of the seed-centred search box
 _MAX_ITERATIONS = 200
@@ -63,6 +67,9 @@ class PotentialDef:
     energy_batch: Callable[[np.ndarray], np.ndarray] | None = None  # (N,3) -> (N,)
     gradient: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3,)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3, 3)
+    # (3,) -> (gradient, Hessian or None where U has none), both from one
+    # batch of field work; the minimum search uses it where it is given
+    _gradient_and_hessian: Callable | None = None
 
 
 def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
@@ -99,10 +106,10 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
             return np.zeros(3), magnitude
         return B / magnitude, magnitude
 
-    def gradient(r: np.ndarray) -> np.ndarray:
-        B, J = model.field_and_jacobian(currents, r)
-        b_hat = direction(B[0], J[0])[0]
-        grad = species.zeeman_slope * (J[0].T @ b_hat)
+    def gradient_at(B: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """grad U from B and J at one point."""
+        b_hat = direction(B, J)[0]
+        grad = species.zeeman_slope * (J.T @ b_hat)
         if not gravity:
             return grad
         weight = species.mass * g
@@ -110,16 +117,15 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
             # 0 is a subgradient when slope J^T v = m g for some |v| <= 1:
             # m g must lie in the range of J^T, and its least-norm preimage
             # pinv(J^T) m g must be no longer than slope
-            v = np.linalg.pinv(J[0].T) @ weight
-            residual = np.linalg.norm(J[0].T @ v - weight)
+            v = np.linalg.pinv(J.T) @ weight
+            residual = np.linalg.norm(J.T @ v - weight)
             if (np.linalg.norm(v) <= species.zeeman_slope
                     and residual <= _RANGE_RTOL * np.linalg.norm(weight)):
                 return np.zeros(3)
         return grad - weight
 
-    def hessian(r: np.ndarray) -> np.ndarray:
-        shifts = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)]) * _JACOBIAN_STEP
-        B, J = model.field_and_jacobian(currents, np.asarray(r, dtype=float) + shifts)
+    def hessian_at(B: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """The Hessian of U from B and J on the stencil (``_stencil``)."""
         b_hat, magnitude = direction(B[0], J[0])
         if not b_hat.any():
             raise FieldZeroError(
@@ -130,8 +136,36 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
         curvature = J[0].T @ transverse / magnitude + 0.5 * (second + second.T)
         return species.zeeman_slope * curvature
 
+    def gradient(r: np.ndarray) -> np.ndarray:
+        B, J = model.field_and_jacobian(currents, r)
+        return gradient_at(B[0], J[0])
+
+    def hessian(r: np.ndarray) -> np.ndarray:
+        return hessian_at(*model.field_and_jacobian(currents, _stencil(r)))
+
+    def gradient_and_hessian(r: np.ndarray):
+        """Both from one Jacobian batch; per-point field arithmetic does not
+        depend on the batch, so row 0 has the bits of ``gradient``'s call."""
+        try:
+            B, J = model.field_and_jacobian(currents, _stencil(r))
+        except FieldDomainError:
+            return gradient(r), None  # a conductor within the stencil
+        try:
+            H = hessian_at(B, J)
+        except FieldZeroError:
+            H = None
+        return gradient_at(B[0], J[0]), H
+
     return PotentialDef(energy=energy, species=species, field=field,
-                        energy_batch=energy_batch, gradient=gradient, hessian=hessian)
+                        energy_batch=energy_batch, gradient=gradient, hessian=hessian,
+                        _gradient_and_hessian=gradient_and_hessian)
+
+
+def _stencil(r) -> np.ndarray:
+    """(7, 3): ``r``, then r + step e_k and r - step e_k for k = x, y, z,
+    the points whose Jacobians give a Hessian (step 1 um)."""
+    r = np.asarray(r, dtype=float)
+    return np.vstack([r, r + _SHIFTS])
 
 
 @dataclass(frozen=True)
@@ -228,11 +262,19 @@ def _newton_step(pdef: PotentialDef, x: np.ndarray):
     """(grad U, Newton step), the step None where the Hessian is not
     positive definite or U has none (a field zero, a conductor within the
     Jacobian difference step)."""
-    grad = pdef.gradient(x)
+    if pdef._gradient_and_hessian is not None:
+        grad, H = pdef._gradient_and_hessian(x)
+    else:
+        grad = pdef.gradient(x)
+        try:
+            H = pdef.hessian(x)
+        except (FieldZeroError, FieldDomainError):
+            H = None
+    if H is None:
+        return grad, None
     try:
-        H = pdef.hessian(x)
         np.linalg.cholesky(H)
-    except (FieldZeroError, FieldDomainError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         return grad, None
     return grad, np.linalg.solve(H, -grad)
 

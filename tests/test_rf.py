@@ -7,7 +7,7 @@ from atomchip.constants import GAUSS, HBAR, PLANCK
 from atomchip.errors import ConfigError, FieldDomainError
 from atomchip.fields import BiotSavartModel
 from atomchip.geometry import ChipLayout, CurrentConfig, RfChannelDrive, WireSegmentPath
-from atomchip.reproduction import splitting_setup
+from atomchip.reproduction import SPLIT_SCAN_AMPLITUDES, splitting_setup
 from atomchip.rf import (
     RfDriveState, characterize_double_well, dressed_components, dressed_potential,
     dressed_potential_line, rf_field_phasor, split_scan,
@@ -296,3 +296,80 @@ def test_scan_matches_slice_by_slice_loop(splitting):
                 n = 4 * n - 3
     assert 0 < refined < len(amps)
     assert repr(result.reports) == repr(tuple(expected))
+
+
+def test_scan_with_rf_channels_apart_from_dc_matches_slice_by_slice_loop(splitting):
+    # rf on z1 and z2, dc on z2 and z3: the scan evaluates z1's unit field
+    # for the phasor only and z3's for B only
+    model, currents, species, _ = splitting
+    drive = RfDriveState(frequency=1429.0e3, channels={
+        "z1": RfChannelDrive(0.004, 0.3), "z2": RfChannelDrive(0.010, math.pi)})
+    amps = [0.0, 0.005, 0.01, 0.02, 0.03]
+    seed, n_samples, halfwidth = (0, 110e-6, 0), 58, 12e-6
+    result = split_scan(model, currents, species, drive, amps, seed_point=seed,
+                        halfwidth=halfwidth, n_samples=n_samples)
+
+    center = find_trap_minimum(magnetic_potential(model, currents, species), seed).minimum
+    expected = []
+    for a in amps:
+        n = n_samples
+        while True:
+            s, u = dressed_potential_line(model, currents, species, drive.scaled(a / 0.010),
+                                          center, (1.0, 0.0, 0.0), halfwidth, n)
+            try:
+                expected.append(characterize_double_well(s, u, slice_axis=(1.0, 0.0, 0.0)))
+                break
+            except ValueError:
+                n = 4 * n - 3
+    assert repr(result.reports) == repr(tuple(expected))
+
+
+@pytest.mark.parametrize("amps, n_samples, sizes", [
+    (SPLIT_SCAN_AMPLITUDES, 1201, [1201]),
+    ([0.0, 0.002, 0.01, 0.02, 0.03], 58, [58, 229]),  # refined to 4n - 3
+])
+def test_scan_evaluates_each_unit_field_once_per_slice_size(splitting, monkeypatch, amps,
+                                                            n_samples, sizes):
+    # z2 and z3 carry both the dc and the rf current: one unit field each
+    # per slice size serves B and every phasor of the ramp
+    model, currents, species, drive = splitting
+    calls = []
+    unit_field = BiotSavartModel.channel_unit_field
+
+    def counted(self, channel, points):
+        calls.append((channel, len(points)))
+        return unit_field(self, channel, points)
+
+    monkeypatch.setattr(BiotSavartModel, "channel_unit_field", counted)
+    split_scan(model, currents, species, drive, amps, seed_point=(0, 110e-6, 0),
+               n_samples=n_samples)
+    slice_calls = sorted(c for c in calls if c[1] > 1)  # the trap search's are single points
+    assert slice_calls == sorted((ch, n) for ch in ("z2", "z3") for n in sizes)
+
+
+def test_scan_slice_through_a_wire_raises_the_model_error(splitting):
+    model, currents, species, drive = splitting
+    seed, direction, halfwidth, n = (0, 110e-6, 0), np.array([1.0, 1.0, 0.0]), 200e-6, 401
+    center = np.asarray(
+        find_trap_minimum(magnetic_potential(model, currents, species), seed).minimum)
+    unit = direction / np.linalg.norm(direction)
+    s = np.linspace(-halfwidth, halfwidth, n)
+    with pytest.raises(FieldDomainError) as expected:
+        model.field(currents, center[None, :] + s[:, None] * unit[None, :])
+    assert "lies inside wire 'z1'" in str(expected.value)
+    with pytest.raises(FieldDomainError) as raised:
+        split_scan(model, currents, species, drive, [0.01], direction=tuple(direction),
+                   seed_point=seed, halfwidth=halfwidth, n_samples=n)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_rf_phase_convention_counter_clockwise_about_b(species):
+    # Re(B_1 e^{-i w t}) with B_1 = (1, i, 0) is (cos wt, sin wt, 0): it
+    # turns counter-clockwise about B = +z and couples fully (|c| = 1);
+    # (1, -i, 0) turns the other way and does not couple
+    B = np.array([0.0, 0.0, 2.0]) * GAUSS
+    per_m = species.zeeman_slope / 2.0
+    _, ccw = dressed_components(B, np.array([1.0, 1j, 0.0]), 1e6, species)
+    _, cw = dressed_components(B, np.array([1.0, -1j, 0.0]), 1e6, species)
+    assert ccw == per_m
+    assert cw == 0.0

@@ -10,7 +10,9 @@ from atomchip.errors import (
     ConfigError, ConvergenceError, FieldDomainError, FieldZeroError, SaddlePointError,
 )
 from atomchip.fields import BiotSavartModel
+from atomchip import trap
 from atomchip.geometry import ChipLayout, CurrentConfig, WireSegmentPath, rb87_f2m2
+from atomchip.reproduction import splitting_setup
 from atomchip.trap import (
     PotentialDef, characterize_trap, find_trap_minimum, magnetic_potential,
     trap_depth, trap_frequencies,
@@ -541,3 +543,23 @@ def test_depth_lower_bound_flag(species):
     depth, lower_bound = trap_depth(isotropic_harmonic(species), (0, 0, 0),
                                     search_halfwidth=100e-6)
     assert lower_bound
+
+
+def test_one_jacobian_batch_per_newton_step(monkeypatch):
+    # the gradient is row 0 of the Hessian's 7-point stencil
+    model, currents, species, _ = splitting_setup()
+    calls, steps = [], []
+    field_and_jacobian, newton_step = BiotSavartModel.field_and_jacobian, trap._newton_step
+
+    def counted(self, cur, points):
+        calls.append(len(np.atleast_2d(points)))
+        return field_and_jacobian(self, cur, points)
+
+    def counted_step(pdef, x):
+        steps.append(x)
+        return newton_step(pdef, x)
+
+    monkeypatch.setattr(BiotSavartModel, "field_and_jacobian", counted)
+    monkeypatch.setattr(trap, "_newton_step", counted_step)
+    find_trap_minimum(magnetic_potential(model, currents, species), (0, 110e-6, 0))
+    assert calls == [7] * len(steps) == [7] * 5
