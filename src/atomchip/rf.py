@@ -295,8 +295,13 @@ def split_scan(model: BiotSavartModel, currents: CurrentConfig, species: AtomSpe
     ``drive`` fixes the relative channel amplitudes and phases; each ramp
     value rescales the whole drive so its largest channel amplitude equals
     the ramp value.  The slice passes through the static (rf-off) trap
-    minimum along ``direction``.
+    minimum along ``direction``.  Raises ConfigError for fewer than 5
+    samples or a ``halfwidth`` that is not finite and > 0.
     """
+    if n_samples < 5:
+        raise ConfigError(f"split_scan needs n_samples >= 5, got {n_samples}")
+    if not 0.0 < halfwidth < np.inf:
+        raise ConfigError(f"split_scan halfwidth must be finite and > 0, got {halfwidth} m")
     amplitudes = [float(a) for a in amplitudes]
     if any(b < a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitude ramp must be monotone nondecreasing")

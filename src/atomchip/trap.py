@@ -13,6 +13,9 @@ and principal axes from one Hessian.  A Newton step of a magnetic potential
 takes U's gradient and Hessian from one Jacobian batch of 7 points, the
 point and its neighbours one difference step away along each axis; where a
 conductor lies within that step it takes the gradient alone from the point.
+``characterize_trap`` takes the frequencies from the search's last Newton
+step, whose Hessian is the one at the minimum, and the depth's U at the
+minimum from the search too.
 
 Numerical defaults (documented): Jacobian difference step 1 um (B is smooth
 on the wire scale, so its error is ~ (step / wire distance)^2); the solve
@@ -27,6 +30,7 @@ minimum, and -m g otherwise.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -203,11 +207,21 @@ def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
     The solve stops when a step falls below 1e-13 m: a gradient stop would
     accept any point of a soft axis (the builtin trap's axial curvature,
     5e-24 J/m^2, meets 1e-26 J/m within +-2 mm).  Raises ConvergenceError
-    if |grad U| then exceeds ``GRAD_TOL`` or the point sits on the box wall.
+    if |grad U| then exceeds ``GRAD_TOL`` or the point sits on the box wall,
+    and ConfigError for a seed that is not finite.
     """
+    return _search(pdef, seed_point)[0]
+
+
+def _search(pdef: PotentialDef, seed_point):
+    """``find_trap_minimum``'s solve: (its result, U at the minimum, U's
+    Hessian there from the last Newton step or None where that step had
+    none)."""
     if pdef.gradient is None or pdef.hessian is None:
         raise TypeError("the potential defines no gradient and Hessian")
     seed = np.asarray(seed_point, dtype=float)
+    if not np.all(np.isfinite(seed)):
+        raise ConfigError(f"seed point must be finite, got {tuple(seed.tolist())} m")
     lo, hi = seed - _DOMAIN_HALFWIDTH, seed + _DOMAIN_HALFWIDTH
 
     def U(x: np.ndarray) -> float:
@@ -222,7 +236,7 @@ def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
 
     x, u = seed, U(seed)
     radius = _INITIAL_RADIUS
-    grad, newton = _newton_step(pdef, x)
+    grad, newton, hessian = _newton_step(pdef, x)
     for _ in range(_MAX_ITERATIONS):
         gnorm = float(np.linalg.norm(grad))
         if newton is not None:
@@ -238,7 +252,7 @@ def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
         if u_step < u:
             x, u = x + step, u_step
             radius *= 2.0
-            grad, newton = _newton_step(pdef, x)
+            grad, newton, hessian = _newton_step(pdef, x)
         else:
             radius = length / 4.0
     else:
@@ -255,13 +269,13 @@ def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
         bottom_field=bottom,
         height_above_chip=float(x[1]),
         grad_norm=gnorm,
-    )
+    ), u, hessian
 
 
 def _newton_step(pdef: PotentialDef, x: np.ndarray):
-    """(grad U, Newton step), the step None where the Hessian is not
-    positive definite or U has none (a field zero, a conductor within the
-    Jacobian difference step)."""
+    """(grad U, Newton step, Hessian of U), the Hessian None where U has
+    none (a field zero, a conductor within the Jacobian difference step) and
+    the step None there or where the Hessian is not positive definite."""
     if pdef._gradient_and_hessian is not None:
         grad, H = pdef._gradient_and_hessian(x)
     else:
@@ -271,12 +285,12 @@ def _newton_step(pdef: PotentialDef, x: np.ndarray):
         except (FieldZeroError, FieldDomainError):
             H = None
     if H is None:
-        return grad, None
+        return grad, None, None
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        return grad, None
-    return grad, np.linalg.solve(H, -grad)
+        return grad, None, H
+    return grad, np.linalg.solve(H, -grad), H
 
 
 def trap_frequencies(pdef: PotentialDef, minimum):
@@ -289,14 +303,19 @@ def trap_frequencies(pdef: PotentialDef, minimum):
     """
     if pdef.hessian is None:
         raise TypeError("the potential defines no Hessian")
-    evals, evecs = np.linalg.eigh(pdef.hessian(np.asarray(minimum, dtype=float)))
+    return _frequencies(pdef.hessian(np.asarray(minimum, dtype=float)), pdef.species.mass)
+
+
+def _frequencies(hessian: np.ndarray, mass: float):
+    """``trap_frequencies`` from U's Hessian at the minimum."""
+    evals, evecs = np.linalg.eigh(hessian)
     scale = max(np.max(np.abs(evals)), 1e-300)
     if evals[0] < -1e-4 * scale:
         raise SaddlePointError(
             f"Hessian not positive semidefinite at the reported minimum "
             f"(eigenvalues {evals.tolist()})"
         )
-    freqs = np.sqrt(np.clip(evals, 0.0, None) / pdef.species.mass) / (2.0 * np.pi)
+    freqs = np.sqrt(np.clip(evals, 0.0, None) / mass) / (2.0 * np.pi)
     axes = []
     for i in range(3):
         v = evecs[:, i]
@@ -309,11 +328,13 @@ _DEPTH_DIRECTIONS = np.array([
     d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(d)
 ])
 _DEPTH_DIRECTIONS = _DEPTH_DIRECTIONS / np.linalg.norm(_DEPTH_DIRECTIONS, axis=1)[:, None]
-_COARSE_STRIDE = 16  # samples between the points that bound a ray's barrier
+_COARSE_STRIDE = 16  # samples between the points of a ray's second round
+_DEPTH_HALFWIDTH = 1e-3  # m, half-width of the depth search box
+_DEPTH_SAMPLES = 400  # samples per ray
 
 
 def trap_depth(pdef: PotentialDef, minimum, axes=None,
-               search_halfwidth: float = 1e-3, n_samples: int = 400):
+               search_halfwidth: float = _DEPTH_HALFWIDTH, n_samples: int = _DEPTH_SAMPLES):
     """Lowest escape barrier along radial/axial rays inside a search box.
 
     Rays follow the 26-direction stencil, rotated into the principal frame
@@ -322,19 +343,27 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
     limiting ray is still climbing at the box edge.
 
     The depth is the minimum over rays of (max of U along the ray) - U at
-    the minimum, the first ray in stencil order winning a tie.  One batch
-    over every 16th sample of each ray, counted back from the last, bounds
-    each ray's barrier from below.  Rays are then completed one at a time
-    in ascending order of bound (ties by stencil index) until the next
-    bound can no longer beat the best full barrier or tie it from an
-    earlier ray.  The limiting ray is always completed, and U at a point
-    does not depend on the batch it is evaluated in, so the result equals
-    that of evaluating all 26 x ``n_samples`` points, bit for bit.
+    the minimum, the first ray in stencil order winning a tie.  Each ray's
+    samples come in three rounds, counted back from its last sample: the
+    last (one batch for all 26 rays), every 16th, then all.  The maximum so
+    far bounds a ray's barrier from below.  The open ray with the lowest
+    (bound, stencil index) gets its next round until that pair exceeds the
+    best complete (barrier, index); a ray is complete after its last round.
+    The limiting ray is always completed, and U at a point does not depend
+    on the batch it is evaluated in, so the result equals that of
+    evaluating all 26 x ``n_samples`` points, bit for bit.
     """
     if n_samples < 2:
         raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
+    if not 0.0 < search_halfwidth < np.inf:
+        raise ConfigError(f"search_halfwidth must be finite and > 0, got {search_halfwidth}")
     x0 = np.asarray(minimum, dtype=float)
-    u0 = pdef.energy(x0)
+    return _depth(pdef, x0, pdef.energy(x0), axes, search_halfwidth, n_samples)
+
+
+def _depth(pdef: PotentialDef, x0: np.ndarray, u0: float, axes,
+           search_halfwidth: float, n_samples: int):
+    """``trap_depth`` about ``x0``, where U is ``u0``."""
     energy_batch = pdef.energy_batch
     if energy_batch is None:
         def energy_batch(points):
@@ -344,20 +373,23 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
         dirs = dirs @ np.asarray(axes)
     ts = np.linspace(search_halfwidth / n_samples, search_halfwidth, n_samples)
 
-    pts = x0 + ts[None, :, None] * dirs[:, None, :]  # (rays, samples, 3)
-    coarse = np.zeros(n_samples, dtype=bool)
-    coarse[n_samples - 1::-_COARSE_STRIDE] = True
-    u = np.empty((len(dirs), n_samples))
-    u[:, coarse] = np.reshape(energy_batch(pts[:, coarse].reshape(-1, 3)), (len(dirs), -1))
-    bounds = u[:, coarse].max(axis=1) - u0  # no higher than the ray's barrier
+    last = n_samples - 1
+    strided = np.zeros(n_samples, dtype=bool)
+    strided[last::-_COARSE_STRIDE] = True
+    rounds = [r for r in (np.flatnonzero(strided)[:-1], np.flatnonzero(~strided)) if len(r)]
+    u = np.full((len(dirs), n_samples), -np.inf)  # -inf where not evaluated yet
+    u[:, last] = energy_batch(x0 + ts[last] * dirs)
+    open_rays = [(u[ray, last] - u0, ray, 0) for ray in range(len(dirs))]  # bound, ray, round
+    heapq.heapify(open_rays)
     best, best_ray = np.inf, len(dirs)
-    for ray in np.argsort(bounds, kind="stable"):
-        if (bounds[ray], ray) > (best, best_ray):
-            break
-        u[ray, ~coarse] = energy_batch(pts[ray, ~coarse])
-        barrier = u[ray].max() - u0
-        if (barrier, ray) < (best, best_ray):
-            best, best_ray = barrier, ray
+    while open_rays and open_rays[0][:2] <= (best, best_ray):
+        _, ray, k = heapq.heappop(open_rays)
+        u[ray, rounds[k]] = energy_batch(x0 + ts[rounds[k], None] * dirs[ray])
+        bound = u[ray].max() - u0  # no higher than the ray's barrier
+        if k + 1 < len(rounds):
+            heapq.heappush(open_rays, (bound, ray, k + 1))
+        elif (bound, ray) < (best, best_ray):
+            best, best_ray = bound, ray
     u_ray = u[best_ray]
     lower_bound = bool(
         np.argmax(u_ray) == n_samples - 1 and u_ray[-1] > u_ray[-2]
@@ -367,10 +399,18 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
 
 
 def characterize_trap(pdef: PotentialDef, seed_point) -> TrapCharacterization:
-    """Full characterization: minimum, bottom field, frequencies, depth."""
-    base = find_trap_minimum(pdef, seed_point)
-    freqs, axes = trap_frequencies(pdef, base.minimum)
-    depth, lb = trap_depth(pdef, base.minimum, axes=axes)
+    """Full characterization: minimum, bottom field, frequencies, depth.
+
+    The frequencies come from the Hessian of the search's last Newton step
+    and the depth from the search's U at the minimum: the values
+    ``trap_frequencies`` and ``trap_depth`` would compute again, bit for bit.
+    """
+    base, u0, hessian = _search(pdef, seed_point)
+    x0 = np.asarray(base.minimum, dtype=float)
+    if hessian is None:
+        hessian = pdef.hessian(x0)  # raises where U has none, as trap_frequencies does
+    freqs, axes = _frequencies(hessian, pdef.species.mass)
+    depth, lb = _depth(pdef, x0, u0, axes, _DEPTH_HALFWIDTH, _DEPTH_SAMPLES)
     return TrapCharacterization(
         minimum=base.minimum,
         bottom_field=base.bottom_field,

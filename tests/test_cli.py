@@ -225,3 +225,24 @@ def test_split_scan_with_shipped_config(tmp_path):
     first = body[2].split(",")
     assert first[1] == "2"
     assert 3.0 < float(first[2]) < 5.0
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--samples=0", "n_samples >= 5, got 0"),
+    ("--samples=3", "n_samples >= 5, got 3"),
+    ("--halfwidth-um=0", "halfwidth must be finite and > 0, got 0.0 m"),
+    ("--halfwidth-um=nan", "halfwidth must be finite and > 0, got nan m"),
+])
+def test_split_scan_bad_slice_is_an_error(tmp_path, capsys, option, message):
+    code = run(["split-scan", "--config", str(CONFIGS / "paper_split_scan.json"), option,
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "split_scan.csv").exists()
+
+
+@pytest.mark.parametrize("point", ["nan,150,0", "0,inf,0"])
+def test_trap_non_finite_seed_is_an_error(capsys, point):
+    assert run(["trap", f"--seed-point={point}"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed point must be finite")

@@ -379,6 +379,13 @@ def test_depth_rejects_fewer_than_two_samples(species, n_samples):
         trap_depth(pdef, (0, 0, 0), n_samples=n_samples)
 
 
+@pytest.mark.parametrize("halfwidth", [0.0, -1e-6, np.nan, np.inf])
+def test_depth_rejects_a_box_not_finite_and_positive(species, halfwidth):
+    pdef = isotropic_harmonic(species, clip=CLIP_U0)
+    with pytest.raises(ConfigError, match="search_halfwidth must be finite and > 0"):
+        trap_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth)
+
+
 def counting_batches(pdef):
     """``pdef`` with an ``energy_batch`` (made from ``energy`` if missing)
     that appends each call's points to the returned list."""
@@ -412,7 +419,7 @@ def test_depth_at_operating_points_matches_per_ray_reference(paper_model, paper,
     result = trap_depth(pdef, minimum, axes=axes)
     points = sum(len(c) for c in calls)
     assert result == per_ray_depth(pdef, minimum, axes=axes)
-    assert points <= 1500  # of 26 x 400
+    assert points <= 425  # of 26 x 400: the box edge, then one ray's two rounds
 
 
 def ray_potential(species, profile):
@@ -447,15 +454,17 @@ def bumped_rays(species, cap, halfwidth=100e-6):
 
 
 def test_depth_bump_between_coarse_samples_loses(species):
-    # +x has the lowest coarse bound but the bump is its barrier; ray 0
+    # +x has the lowest bound until its last round finds the bump; ray 0
     # then wins, still climbing at the edge, and ray 1's bound is higher
     pdef, calls = counting_batches(bumped_rays(species, cap=np.inf)[0])
     result = trap_depth(pdef, (0, 0, 0), search_halfwidth=100e-6)
     work = list(calls)
     assert result == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=100e-6)
     assert result[0] == pytest.approx(species.zeeman_slope * 1e-2 * 100e-6) and result[1]
-    assert [len(c) for c in work] == [650, 375, 375]  # coarse pass, two rays completed
-    assert np.all(work[1][:, 1:] == 0.0) and np.all(work[1][:, 0] > 0.0)  # +x first
+    # the box edge, then two rounds each of +x and ray 0
+    assert [len(c) for c in work] == [26, 24, 375, 24, 375]
+    for c in work[1:3]:  # +x first
+        assert np.all(c[:, 1:] == 0.0) and np.all(c[:, 0] > 0.0)
 
 
 def test_depth_bound_tying_the_best_barrier_is_completed(species):
@@ -468,7 +477,7 @@ def test_depth_bound_tying_the_best_barrier_is_completed(species):
     result = trap_depth(pdef, (0, 0, 0), search_halfwidth=100e-6)
     work = list(calls)
     assert result == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=100e-6) == (cap, True)
-    assert [len(c) for c in work] == [650, 375, 375]
+    assert [len(c) for c in work] == [26, 24, 375, 24, 375]
 
 
 def test_depth_every_barrier_infinite(species):
@@ -478,15 +487,16 @@ def test_depth_every_barrier_infinite(species):
 
     pdef, calls = counting_batches(PotentialDef(energy=energy, species=species))
     result = trap_depth(pdef, (0, 0, 0))
-    assert len(calls) == 2
+    assert [len(c) for c in calls] == [26, 24, 375]
     assert result == per_ray_depth(pdef, (0, 0, 0)) == (np.inf, False)
 
 
 def test_depth_ray_completed_inside_a_conductor(thin_model, species):
     # reversed bias: the field zero lies 161 um below the wire and the start
-    # 161 um above it.  With two samples the downward ray's coarse point is
-    # the zero, the lowest bound, and its one remaining sample is the wire
-    # centre, so its field call is empty and its barrier infinite
+    # 161 um above it.  With two samples there is no second round: the
+    # downward ray's last sample is the zero, the lowest bound, and its one
+    # remaining sample is the wire centre, so its field call is empty and
+    # its barrier infinite
     height = MU_0 * 2.0 / (2.0 * np.pi * 24.8 * GAUSS)
     cur = CurrentConfig(dc={"w": 2.0}, bias=(-24.8 * GAUSS, 0.0, 0.0))
     pdef, calls = counting_batches(magnetic_potential(thin_model, cur, species))
@@ -495,7 +505,7 @@ def test_depth_ray_completed_inside_a_conductor(thin_model, species):
     work = list(calls)
     assert result == per_ray_depth(pdef, x0, **kw)
     assert np.isfinite(result[0])
-    assert len(work) >= 3 and len(work[1]) == 1
+    assert [len(c) for c in work] == [26] + [1] * 24  # the box edge, then 24 rays' last rounds
     assert thin_model.frames.first_containing(work[1])[0] == 0
 
 
@@ -514,6 +524,36 @@ def test_depth_tie_goes_to_the_first_ray(species):
     pdef = PotentialDef(energy=energy, species=species)
     assert (trap_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth)
             == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth) == (cap, True))
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 16, 17, 400])
+def test_depth_matches_per_ray_reference_on_seeded_profiles(species, n_samples):
+    # rays rising, flat or falling, some with a bump on one sample that is
+    # narrower than the sample spacing, some with an infinite stretch (a
+    # conductor), some capped; repeated slopes and the cap make ties
+    halfwidth = 100e-6
+    spacing = halfwidth / n_samples
+    ts = np.linspace(spacing, halfwidth, n_samples)
+    scale = species.zeeman_slope * 1e-2 * halfwidth  # 1 G/cm across the box
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        slope = rng.choice([-0.2, 0.0, 0.5, 1.0, 1.0, 2.0], 26) * scale / halfwidth
+        bump_at = ts[rng.integers(n_samples, size=26)]
+        bump = rng.choice([0.0, 0.5, 3.0], 26) * scale
+        wall = np.sort(rng.uniform(0.0, 1.5 * halfwidth, (26, 2)), axis=1)
+        wall[rng.random(26) < 0.7] = np.inf  # no infinite stretch on these rays
+        cap = rng.choice([0.6, 1.0, np.inf]) * scale
+
+        def profile(ray, t):
+            u = slope[ray] * t + bump[ray] * np.exp(-((t - bump_at[ray]) / (0.1 * spacing)) ** 2)
+            u = np.where((wall[ray, 0] <= t) & (t <= wall[ray, 1]), np.inf, u)
+            return np.minimum(u, cap)
+
+        pdef, calls = counting_batches(ray_potential(species, profile))
+        result = trap_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth, n_samples=n_samples)
+        assert all(len(c) for c in calls), seed
+        assert result == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth,
+                                       n_samples=n_samples), seed
 
 
 def test_depth_unit_identity(paper_model, paper, species):
@@ -563,3 +603,32 @@ def test_one_jacobian_batch_per_newton_step(monkeypatch):
     monkeypatch.setattr(trap, "_newton_step", counted_step)
     find_trap_minimum(magnetic_potential(model, currents, species), (0, 110e-6, 0))
     assert calls == [7] * len(steps) == [7] * 5
+
+
+def test_characterize_trap_reuses_the_search(monkeypatch, paper_model, paper, species):
+    # the frequencies take the Hessian of the search's last stencil and the
+    # depth its U at the minimum: no Jacobian batch and no 1-point energy
+    # at the minimum after that stencil
+    _, currents, _ = paper
+    events = []
+    field_and_jacobian = BiotSavartModel.field_and_jacobian
+
+    def counted(self, cur, points):
+        events.append("stencil")
+        return field_and_jacobian(self, cur, points)
+
+    monkeypatch.setattr(BiotSavartModel, "field_and_jacobian", counted)
+    pdef = magnetic_potential(paper_model, currents, species)
+
+    def logged(r):
+        events.append(tuple(np.asarray(r, dtype=float).tolist()))
+        return pdef.energy(r)
+
+    seed = (-42.5e-6, 150e-6, 0)
+    find_trap_minimum(replace(pdef, energy=logged), seed)
+    stencils = events.count("stencil")
+    events.clear()
+    tc = characterize_trap(replace(pdef, energy=logged), seed)
+    last = max(i for i, event in enumerate(events) if event == "stencil")
+    assert events.count("stencil") == stencils
+    assert tc.minimum in events[:last] and tc.minimum not in events[last:]

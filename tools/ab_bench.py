@@ -9,8 +9,10 @@ BASE first in even pairs and HEAD first in odd ones, so that a drift of the
 host spreads over both.  For each end-to-end metric the report gives the
 median and quartiles of either side, the change of the medians, the pairs in
 which HEAD did better and whether the change of the medians is larger than
-BASE's interquartile range.  The exit status is 1 when a run fails or is not
-``correct``.
+BASE's interquartile range.  After the pairs, one traced run (``--trace 1``)
+in each checkout gives the work counters, the per-layer metrics whose unit is
+``count``, printed side by side.  The exit status is 1 when a run fails or is
+not ``correct``.
 """
 
 import argparse
@@ -21,11 +23,11 @@ import sys
 from pathlib import Path
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced bench run in ``root``; its result line as a dict."""
+def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One bench run in ``root``; its result line as a dict."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -39,6 +41,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def check(result: dict, label: str, bad: list[str]) -> None:
+    """Append a line to ``bad`` when ``result`` is not correct or has failures."""
+    if result["correct"] is not True or result["failed"]:
+        bad.append(f"{label}: correct {result['correct']}, "
+                   f"failed {result['failed']} of {result['attempted']}")
 
 
 def end_to_end(root: Path) -> dict[str, str]:
@@ -67,9 +76,7 @@ def main(argv=None) -> int:
         for side in order:
             result = run_bench(getattr(args, side), args.workload, args.seed, args.seconds)
             runs[side].append(result)
-            if result["correct"] is not True or result["failed"]:
-                bad.append(f"pair {pair + 1} {side}: correct {result['correct']}, "
-                           f"failed {result['failed']} of {result['attempted']}")
+            check(result, f"pair {pair + 1} {side}", bad)
             print(f"pair {pair + 1} {side}: " + ", ".join(
                 f"{name} {result['metrics'][name]['value']:.4g}"
                 for name in metrics if name in result["metrics"]), flush=True)
@@ -88,6 +95,17 @@ def main(argv=None) -> int:
         print(f"{name:12s} {f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>28s}"
               f" {f'{h2:.4g} [{h1:.4g}, {h3:.4g}]':>28s} {change:+8.1%}"
               f" {f'{wins}/{args.pairs}':>12s} {beyond:>10s}")
+
+    counters = {}
+    for side in ("base", "head"):
+        result = run_bench(getattr(args, side), args.workload, args.seed, args.seconds, trace=1)
+        check(result, f"traced {side}", bad)
+        counters[side] = {name: metric["value"] for name, metric in result["metrics"].items()
+                          if metric["unit"] == "count"}
+    print("\nwork counters, one traced run each")
+    print(f"{'counter':32s} {'base':>14s} {'head':>14s}")
+    for name, value in counters["head"].items():
+        print(f"{name:32s} {counters['base'].get(name, float('nan')):14.6g} {value:14.6g}")
     for line in bad:
         print("NOT CORRECT:", line)
     return 1 if bad else 0
