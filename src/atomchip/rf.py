@@ -132,13 +132,6 @@ def _dressed(frame: _DressingFrame, phasor: np.ndarray) -> np.ndarray:
     return frame.m_tilde * np.hypot(frame.h_delta, _rabi(frame, phasor))
 
 
-def dressed_components(B_static, phasor, frequency: float, species: AtomSpecies,
-                       m_tilde: int = 2):
-    """(hbar*delta, hbar*Omega) per point, both in joules."""
-    frame = _dressing_frame(B_static, frequency, species, m_tilde)
-    return frame.h_delta, _rabi(frame, np.asarray(phasor))
-
-
 def dressed_potential(B_static, phasor, frequency: float, species: AtomSpecies,
                       m_tilde: int = 2):
     """Adiabatic dressed-level energy m_tilde*sqrt((hbar d)^2+(hbar W)^2), J."""

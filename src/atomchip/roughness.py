@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import BOLTZMANN, HBAR, PLANCK
 from .errors import ChipError, ConfigError, GeometryError
@@ -269,25 +268,6 @@ def thomas_fermi_linear_density(V, mu: float, interaction_g: float,
     """Radially-integrated Thomas-Fermi profile n(z) = pi (mu-V)^2 / (g m w^2)."""
     V = np.asarray(V, dtype=float)
     return np.pi * np.clip(mu - V, 0.0, None) ** 2 / (interaction_g * mass * omega_perp**2)
-
-
-def thomas_fermi_mu_from_number(z, V, n_total: float, interaction_g: float,
-                                omega_perp: float, mass: float) -> float:
-    """Chemical potential normalizing the forward TF profile to n_total atoms."""
-    z = np.asarray(z, dtype=float)
-    V = np.asarray(V, dtype=float)
-
-    def excess(mu: float) -> float:
-        profile = thomas_fermi_linear_density(V, mu, interaction_g, omega_perp, mass)
-        return float(np.trapezoid(profile, z)) - n_total
-
-    lo = float(V.min())
-    hi = lo + 1e-30
-    while excess(hi) < 0.0:
-        hi = lo + 2.0 * (hi - lo)
-        if hi - lo > 1e-20:
-            raise ChipError("atom number not reachable inside the sampled window")
-    return float(brentq(excess, lo, hi, xtol=1e-40, rtol=1e-14))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,15 @@ B/|B|) is exact from the closed-form field Jacobian; its Hessian is
 whose first term carries the trap's own length scale |B| / ||J|| and is
 exact, and whose second term is a central difference of the analytic J.
 Minima come from one trust-region Newton solve from the seed; frequencies
-and principal axes from one Hessian.  A Newton step of a magnetic potential
-takes U's gradient and Hessian from one Jacobian batch of 7 points, the
-point and its neighbours one difference step away along each axis; where a
-conductor lies within that step it takes the gradient alone from the point.
-``characterize_trap`` takes the frequencies from the search's last Newton
-step, whose Hessian is the one at the minimum, and the depth's U at the
-minimum from the search too.
+and principal axes from one Hessian.  A potential is U, one point at a time
+and in batches, and ``local``: U's gradient and Hessian and B at a point,
+which a magnetic potential takes from one Jacobian batch of 7 points, the
+point and its neighbours one difference step away along each axis.  Where
+a conductor lies within that step the gradient and B come from the point
+alone, and there or at a field zero ``local`` carries the error that says
+why U has no Hessian.  ``characterize_trap`` takes the bottom field and the
+frequencies from the search's last Newton step, which is at the minimum,
+and the depth's U there from the search.
 
 Numerical defaults (documented): Jacobian difference step 1 um (B is smooth
 on the wire scale, so its error is ~ (step / wire distance)^2); the solve
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,34 +56,37 @@ _MAX_ITERATIONS = 200
 _RANGE_RTOL = 1e-9  # relative residual of m g = J^T v that counts as in range
 
 
+class Local(NamedTuple):
+    """U's derivatives and the field backing it at one point."""
+
+    gradient: np.ndarray          # (3,), J/m
+    hessian: np.ndarray | ChipError  # (3, 3) J/m^2, or why U has none there
+    field: np.ndarray | None      # (3,) T; None for synthetic potentials
+
+
 @dataclass(frozen=True)
 class PotentialDef:
     """Scalar potential U(r) with the species it applies to.
 
-    ``energy`` maps a 3-vector (m) to joules, ``gradient`` and ``hessian``
-    to its first (J/m) and second (J/m^2) derivatives, which the minimum
-    search and the frequencies need; ``field`` optionally returns the
-    magnetic field vector backing the potential (None for synthetic
-    potentials).  Instances are immutable and safe to share across workers.
+    ``energy`` maps a 3-vector (m) to joules and ``energy_batch`` an (N, 3)
+    array to the N energies, each with the bits of ``energy``; ``local``
+    maps a 3-vector to its ``Local``, which the minimum search and the
+    frequencies need.  Instances are immutable and safe to share across
+    workers.
     """
 
     energy: Callable[[np.ndarray], float]
     species: AtomSpecies
-    field: Callable[[np.ndarray], np.ndarray] | None = None
-    energy_batch: Callable[[np.ndarray], np.ndarray] | None = None  # (N,3) -> (N,)
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3,)
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None  # (3,) -> (3, 3)
-    # (3,) -> (gradient, Hessian or None where U has none), both from one
-    # batch of field work; the minimum search uses it where it is given
-    _gradient_and_hessian: Callable | None = None
+    energy_batch: Callable[[np.ndarray], np.ndarray]
+    local: Callable[[np.ndarray], Local]
 
 
 def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
                        species: AtomSpecies, gravity: bool = False) -> PotentialDef:
     """Zeeman potential of the layout's field, optionally with gravity.
 
-    U reads inf inside a conductor; ``field``, ``gradient`` and ``hessian``
-    raise FieldDomainError there, as the model does.
+    U reads inf inside a conductor, and ``local`` raises FieldDomainError
+    there, as the model does.
     """
     g = np.asarray(species.gravity)
 
@@ -99,9 +104,6 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
 
     def energy(r: np.ndarray) -> float:
         return float(energy_batch(r)[0])
-
-    def field(r: np.ndarray) -> np.ndarray:
-        return model.field(currents, r)[0]
 
     def direction(B: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, float]:
         """(b_hat, |B|), with b_hat = 0 on a field zero (module docstring)."""
@@ -128,11 +130,12 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
                 return np.zeros(3)
         return grad - weight
 
-    def hessian_at(B: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """The Hessian of U from B and J on the stencil (``_stencil``)."""
+    def hessian_at(B: np.ndarray, J: np.ndarray) -> np.ndarray | ChipError:
+        """The Hessian of U from B and J on the stencil (``_stencil``), or
+        FieldZeroError at a field zero."""
         b_hat, magnitude = direction(B[0], J[0])
         if not b_hat.any():
-            raise FieldZeroError(
+            return FieldZeroError(
                 "no harmonic curvature: U = slope |B| is a cone at this field zero")
         transverse = J[0] - np.outer(b_hat, b_hat @ J[0])  # (I - b b^T) J
         dJ = (J[1:4] - J[4:]) / (2.0 * _JACOBIAN_STEP)  # dJ[k] = dJ/dx_k
@@ -140,29 +143,18 @@ def magnetic_potential(model: BiotSavartModel, currents: CurrentConfig,
         curvature = J[0].T @ transverse / magnitude + 0.5 * (second + second.T)
         return species.zeeman_slope * curvature
 
-    def gradient(r: np.ndarray) -> np.ndarray:
-        B, J = model.field_and_jacobian(currents, r)
-        return gradient_at(B[0], J[0])
-
-    def hessian(r: np.ndarray) -> np.ndarray:
-        return hessian_at(*model.field_and_jacobian(currents, _stencil(r)))
-
-    def gradient_and_hessian(r: np.ndarray):
-        """Both from one Jacobian batch; per-point field arithmetic does not
-        depend on the batch, so row 0 has the bits of ``gradient``'s call."""
+    def local(r: np.ndarray) -> Local:
+        """All from one Jacobian batch; per-point field arithmetic does not
+        depend on the batch, so row 0 has the bits of a 1-point call."""
         try:
             B, J = model.field_and_jacobian(currents, _stencil(r))
-        except FieldDomainError:
-            return gradient(r), None  # a conductor within the stencil
-        try:
-            H = hessian_at(B, J)
-        except FieldZeroError:
-            H = None
-        return gradient_at(B[0], J[0]), H
+        except FieldDomainError as error:  # a conductor within the stencil
+            B, J = model.field_and_jacobian(currents, r)
+            return Local(gradient_at(B[0], J[0]), error, B[0])
+        return Local(gradient_at(B[0], J[0]), hessian_at(B, J), B[0])
 
-    return PotentialDef(energy=energy, species=species, field=field,
-                        energy_batch=energy_batch, gradient=gradient, hessian=hessian,
-                        _gradient_and_hessian=gradient_and_hessian)
+    return PotentialDef(energy=energy, species=species, energy_batch=energy_batch,
+                        local=local)
 
 
 def _stencil(r) -> np.ndarray:
@@ -215,10 +207,8 @@ def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
 
 def _search(pdef: PotentialDef, seed_point):
     """``find_trap_minimum``'s solve: (its result, U at the minimum, U's
-    Hessian there from the last Newton step or None where that step had
+    Hessian there from the last Newton step, or the error where U has
     none)."""
-    if pdef.gradient is None or pdef.hessian is None:
-        raise TypeError("the potential defines no gradient and Hessian")
     seed = np.asarray(seed_point, dtype=float)
     if not np.all(np.isfinite(seed)):
         raise ConfigError(f"seed point must be finite, got {tuple(seed.tolist())} m")
@@ -236,13 +226,13 @@ def _search(pdef: PotentialDef, seed_point):
 
     x, u = seed, U(seed)
     radius = _INITIAL_RADIUS
-    grad, newton, hessian = _newton_step(pdef, x)
+    local, newton = _newton_step(pdef, x)
     for _ in range(_MAX_ITERATIONS):
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = float(np.linalg.norm(local.gradient))
         if newton is not None:
             step = newton * min(1.0, radius / float(np.linalg.norm(newton)))
         elif gnorm > 0.0:
-            step = -radius / gnorm * grad
+            step = -radius / gnorm * local.gradient
         else:
             break  # the apex of a cone at a field zero
         length = float(np.linalg.norm(step))
@@ -252,7 +242,7 @@ def _search(pdef: PotentialDef, seed_point):
         if u_step < u:
             x, u = x + step, u_step
             radius *= 2.0
-            grad, newton, hessian = _newton_step(pdef, x)
+            local, newton = _newton_step(pdef, x)
         else:
             radius = length / 4.0
     else:
@@ -263,34 +253,26 @@ def _search(pdef: PotentialDef, seed_point):
     if np.any(np.abs(x - seed) >= _DOMAIN_HALFWIDTH * (1.0 - 1e-9)):
         raise ConvergenceError("trap minimum escaped the search domain")
 
-    bottom = float("nan") if pdef.field is None else float(np.linalg.norm(pdef.field(x)))
     return TrapCharacterization(
         minimum=tuple(float(c) for c in x),
-        bottom_field=bottom,
+        bottom_field=float("nan") if local.field is None else float(np.linalg.norm(local.field)),
         height_above_chip=float(x[1]),
         grad_norm=gnorm,
-    ), u, hessian
+    ), u, local.hessian
 
 
 def _newton_step(pdef: PotentialDef, x: np.ndarray):
-    """(grad U, Newton step, Hessian of U), the Hessian None where U has
-    none (a field zero, a conductor within the Jacobian difference step) and
-    the step None there or where the Hessian is not positive definite."""
-    if pdef._gradient_and_hessian is not None:
-        grad, H = pdef._gradient_and_hessian(x)
-    else:
-        grad = pdef.gradient(x)
-        try:
-            H = pdef.hessian(x)
-        except (FieldZeroError, FieldDomainError):
-            H = None
-    if H is None:
-        return grad, None, None
+    """(``pdef.local(x)``, Newton step), the step None where U has no
+    Hessian (a field zero, a conductor within the Jacobian difference step)
+    or where it is not positive definite."""
+    local = pdef.local(x)
+    if isinstance(local.hessian, ChipError):
+        return local, None
     try:
-        np.linalg.cholesky(H)
+        np.linalg.cholesky(local.hessian)
     except np.linalg.LinAlgError:
-        return grad, None, H
-    return grad, np.linalg.solve(H, -grad), H
+        return local, None
+    return local, np.linalg.solve(local.hessian, -local.gradient)
 
 
 def trap_frequencies(pdef: PotentialDef, minimum):
@@ -298,16 +280,19 @@ def trap_frequencies(pdef: PotentialDef, minimum):
 
     Returns (frequencies Hz ascending, axes as rows matching the
     frequencies); raises SaddlePointError when the Hessian has a
-    significantly negative eigenvalue and FieldZeroError (from a magnetic
-    potential) at a field zero.
+    significantly negative eigenvalue, and where U has none the error
+    ``Local.hessian`` carries: FieldZeroError at a field zero,
+    FieldDomainError where a conductor lies within the difference step.
     """
-    if pdef.hessian is None:
-        raise TypeError("the potential defines no Hessian")
-    return _frequencies(pdef.hessian(np.asarray(minimum, dtype=float)), pdef.species.mass)
+    return _frequencies(pdef.local(np.asarray(minimum, dtype=float)).hessian,
+                        pdef.species.mass)
 
 
-def _frequencies(hessian: np.ndarray, mass: float):
-    """``trap_frequencies`` from U's Hessian at the minimum."""
+def _frequencies(hessian: np.ndarray | ChipError, mass: float):
+    """``trap_frequencies`` from U's Hessian at the minimum, or the error
+    ``Local.hessian`` carries in its place."""
+    if isinstance(hessian, ChipError):
+        raise hessian
     evals, evecs = np.linalg.eigh(hessian)
     scale = max(np.max(np.abs(evals)), 1e-300)
     if evals[0] < -1e-4 * scale:
@@ -364,10 +349,6 @@ def trap_depth(pdef: PotentialDef, minimum, axes=None,
 def _depth(pdef: PotentialDef, x0: np.ndarray, u0: float, axes,
            search_halfwidth: float, n_samples: int):
     """``trap_depth`` about ``x0``, where U is ``u0``."""
-    energy_batch = pdef.energy_batch
-    if energy_batch is None:
-        def energy_batch(points):
-            return [pdef.energy(p) for p in points]
     dirs = _DEPTH_DIRECTIONS
     if axes is not None:
         dirs = dirs @ np.asarray(axes)
@@ -378,13 +359,13 @@ def _depth(pdef: PotentialDef, x0: np.ndarray, u0: float, axes,
     strided[last::-_COARSE_STRIDE] = True
     rounds = [r for r in (np.flatnonzero(strided)[:-1], np.flatnonzero(~strided)) if len(r)]
     u = np.full((len(dirs), n_samples), -np.inf)  # -inf where not evaluated yet
-    u[:, last] = energy_batch(x0 + ts[last] * dirs)
+    u[:, last] = pdef.energy_batch(x0 + ts[last] * dirs)
     open_rays = [(u[ray, last] - u0, ray, 0) for ray in range(len(dirs))]  # bound, ray, round
     heapq.heapify(open_rays)
     best, best_ray = np.inf, len(dirs)
     while open_rays and open_rays[0][:2] <= (best, best_ray):
         _, ray, k = heapq.heappop(open_rays)
-        u[ray, rounds[k]] = energy_batch(x0 + ts[rounds[k], None] * dirs[ray])
+        u[ray, rounds[k]] = pdef.energy_batch(x0 + ts[rounds[k], None] * dirs[ray])
         bound = u[ray].max() - u0  # no higher than the ray's barrier
         if k + 1 < len(rounds):
             heapq.heappush(open_rays, (bound, ray, k + 1))
@@ -402,13 +383,12 @@ def characterize_trap(pdef: PotentialDef, seed_point) -> TrapCharacterization:
     """Full characterization: minimum, bottom field, frequencies, depth.
 
     The frequencies come from the Hessian of the search's last Newton step
-    and the depth from the search's U at the minimum: the values
-    ``trap_frequencies`` and ``trap_depth`` would compute again, bit for bit.
+    (or raise its error where U has none) and the depth from the search's U
+    at the minimum: the values ``trap_frequencies`` and ``trap_depth`` would
+    compute again, bit for bit.
     """
     base, u0, hessian = _search(pdef, seed_point)
     x0 = np.asarray(base.minimum, dtype=float)
-    if hessian is None:
-        hessian = pdef.hessian(x0)  # raises where U has none, as trap_frequencies does
     freqs, axes = _frequencies(hessian, pdef.species.mass)
     depth, lb = _depth(pdef, x0, u0, axes, _DEPTH_HALFWIDTH, _DEPTH_SAMPLES)
     return TrapCharacterization(

@@ -8,9 +8,10 @@ from atomchip.errors import ConfigError, FieldDomainError
 from atomchip.fields import BiotSavartModel
 from atomchip.geometry import ChipLayout, CurrentConfig, RfChannelDrive, WireSegmentPath
 from atomchip.reproduction import SPLIT_SCAN_AMPLITUDES, splitting_setup
+from atomchip import rf
 from atomchip.rf import (
-    RfDriveState, characterize_double_well, dressed_components, dressed_potential,
-    dressed_potential_line, rf_field_phasor, split_scan,
+    RfDriveState, characterize_double_well, dressed_potential, dressed_potential_line,
+    rf_field_phasor, split_scan,
 )
 from atomchip.trap import find_trap_minimum, magnetic_potential
 
@@ -124,11 +125,12 @@ def test_dressed_zero_static_field_rejected(species):
 def test_rabi_term_uses_transverse_component_only(species):
     # phasor parallel to the static field must not couple
     B = np.array([0.0, 0.0, 2.0]) * GAUSS
+    frame = rf._dressing_frame(B, 1e6, species, 2)
     phasor_par = np.array([0.0, 0.0, 0.05], dtype=complex) * GAUSS
-    _, h_omega = dressed_components(B, phasor_par, 1e6, species)
+    h_omega = rf._rabi(frame, phasor_par)
     assert h_omega == pytest.approx(0.0, abs=1e-40)
     phasor_perp = np.array([0.05, 0.0, 0.0], dtype=complex) * GAUSS
-    _, h_omega_perp = dressed_components(B, phasor_perp, 1e6, species)
+    h_omega_perp = rf._rabi(frame, phasor_perp)
     assert h_omega_perp > 0.0
 
 
@@ -369,7 +371,8 @@ def test_rf_phase_convention_counter_clockwise_about_b(species):
     # (1, -i, 0) turns the other way and does not couple
     B = np.array([0.0, 0.0, 2.0]) * GAUSS
     per_m = species.zeeman_slope / 2.0
-    _, ccw = dressed_components(B, np.array([1.0, 1j, 0.0]), 1e6, species)
-    _, cw = dressed_components(B, np.array([1.0, -1j, 0.0]), 1e6, species)
+    frame = rf._dressing_frame(B, 1e6, species, 2)
+    ccw = rf._rabi(frame, np.array([1.0, 1j, 0.0]))
+    cw = rf._rabi(frame, np.array([1.0, -1j, 0.0]))
     assert ccw == per_m
     assert cw == 0.0

@@ -11,7 +11,7 @@ from atomchip.roughness import (
     RandomDeviation, SinusoidDeviation, TriangleDeviation, _roughness_profiles,
     contact_interaction_constant, invert_density_boltzmann,
     invert_density_thomas_fermi, perturb_wire, remove_harmonic_background,
-    roughness_field, thomas_fermi_linear_density, thomas_fermi_mu_from_number,
+    roughness_field, thomas_fermi_linear_density,
 )
 
 RB87_A = 5.29e-9
@@ -323,8 +323,6 @@ def test_tf_atom_number_consistency(species):
     n = thomas_fermi_linear_density(v, mu, g, omega_perp, species.mass)
     total = np.trapezoid(n, z)
     assert total == pytest.approx(1.5e4, rel=0.2)
-    mu_fit = thomas_fermi_mu_from_number(z, v, total, g, omega_perp, species.mass)
-    assert mu_fit == pytest.approx(mu, rel=1e-6)
 
 
 def test_tf_negative_density_rejected(species):

@@ -19,6 +19,17 @@ from atomchip.trap import (
 )
 
 
+def synthetic_potential(species, energy, gradient=None, hessian=None):
+    """PotentialDef of ``energy``: its batch evaluates ``energy`` point by
+    point, and ``local`` takes the given gradient and Hessian, with no field."""
+    def local(r):
+        return trap.Local(gradient(r), hessian(r), None)
+
+    return PotentialDef(energy=energy, species=species,
+                        energy_batch=lambda pts: np.array([energy(p) for p in pts]),
+                        local=local)
+
+
 def harmonic_potential(species, freqs_hz, center=(0.0, 0.0, 0.0), axes=None):
     center = np.asarray(center, dtype=float)
     if axes is None:
@@ -33,8 +44,7 @@ def harmonic_potential(species, freqs_hz, center=(0.0, 0.0, 0.0), axes=None):
     def gradient(r):
         return axes.T @ (k * (axes @ (np.asarray(r, dtype=float) - center)))
 
-    return PotentialDef(energy=energy, species=species, gradient=gradient,
-                        hessian=lambda r: axes.T @ np.diag(k) @ axes)
+    return synthetic_potential(species, energy, gradient, lambda r: axes.T @ np.diag(k) @ axes)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +96,7 @@ def test_energy_is_infinite_inside_a_wire(paper_model, paper, species, gravity):
     u = pdef.energy_batch([inside, (0.0, 100e-6, 0.0)])
     assert u[0] == np.inf and np.isfinite(u[1])
     with pytest.raises(FieldDomainError, match="lies inside wire 'z2'"):
-        pdef.field(inside)
+        pdef.local(inside)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +153,15 @@ def test_field_zero_has_no_harmonic_frequencies(thin_model, thin_currents, speci
     tc = find_trap_minimum(pdef, (0, 150e-6, 0))
     with pytest.raises(FieldZeroError, match="no harmonic curvature"):
         trap_frequencies(pdef, tc.minimum)
+
+
+def test_stencil_in_a_conductor_has_no_frequencies(paper_model, paper, species):
+    # 0.5 um above z2: the point is outside the wire, its -y stencil point
+    # 1 um below it is inside
+    _, currents, _ = paper
+    pdef = magnetic_potential(paper_model, currents, species)
+    with pytest.raises(FieldDomainError, match="lies inside wire 'z2'"):
+        trap_frequencies(pdef, (-42.5e-6, 0.5e-6, 0))
 
 
 def test_finite_width_height_in_paper_window(paper_model, paper, species):
@@ -316,9 +335,8 @@ def test_saddle_detected(species):
     def energy(r):
         return float(0.5 * np.sum(k * np.asarray(r, dtype=float) ** 2))
 
-    pdef = PotentialDef(energy=energy, species=species,
-                        gradient=lambda r: k * np.asarray(r, dtype=float),
-                        hessian=lambda r: np.diag(k))
+    pdef = synthetic_potential(species, energy, lambda r: k * np.asarray(r, dtype=float),
+                               lambda r: np.diag(k))
     with pytest.raises(SaddlePointError):
         trap_frequencies(pdef, (0, 0, 0))
 
@@ -331,13 +349,13 @@ CLIP_U0 = 2.0e-27
 
 
 def isotropic_harmonic(species, clip=np.inf):
-    """500 Hz isotropic harmonic energy (no batch form), capped at ``clip``."""
+    """500 Hz isotropic harmonic energy, capped at ``clip``."""
     def energy(r):
         d = np.asarray(r, dtype=float)
         k = species.mass * (2 * np.pi * 500.0) ** 2
         return float(min(0.5 * k * np.sum(d**2), clip))
 
-    return PotentialDef(energy=energy, species=species)
+    return synthetic_potential(species, energy)
 
 
 def per_ray_depth(pdef, minimum, axes=None, search_halfwidth=1e-3, n_samples=400):
@@ -353,10 +371,7 @@ def per_ray_depth(pdef, minimum, axes=None, search_halfwidth=1e-3, n_samples=400
     depth, lower_bound = np.inf, False
     for d in dirs:
         pts = x0[None, :] + ts[:, None] * d[None, :]
-        if pdef.energy_batch is None:
-            u_ray = np.array([pdef.energy(p) for p in pts])
-        else:
-            u_ray = np.asarray(pdef.energy_batch(pts), dtype=float)
+        u_ray = np.asarray(pdef.energy_batch(pts), dtype=float)
         barrier = float(np.max(u_ray) - u0)
         if barrier < depth:
             depth = barrier
@@ -387,9 +402,9 @@ def test_depth_rejects_a_box_not_finite_and_positive(species, halfwidth):
 
 
 def counting_batches(pdef):
-    """``pdef`` with an ``energy_batch`` (made from ``energy`` if missing)
-    that appends each call's points to the returned list."""
-    batch = pdef.energy_batch or (lambda pts: [pdef.energy(p) for p in pts])
+    """``pdef`` with an ``energy_batch`` that appends each call's points to
+    the returned list."""
+    batch = pdef.energy_batch
     calls = []
 
     def energy_batch(points):
@@ -432,8 +447,8 @@ def ray_potential(species, profile):
         r = np.atleast_2d(np.asarray(points, dtype=float))
         return profile(np.argmax(r @ dirs.T, axis=1), np.linalg.norm(r, axis=1))
 
-    return PotentialDef(energy=lambda r: float(batch(r)[0]), species=species,
-                        energy_batch=batch)
+    return replace(synthetic_potential(species, lambda r: float(batch(r)[0])),
+                   energy_batch=batch)
 
 
 def bumped_rays(species, cap, halfwidth=100e-6):
@@ -485,7 +500,7 @@ def test_depth_every_barrier_infinite(species):
     def energy(r):
         return np.inf if np.any(r) else 0.0
 
-    pdef, calls = counting_batches(PotentialDef(energy=energy, species=species))
+    pdef, calls = counting_batches(synthetic_potential(species, energy))
     result = trap_depth(pdef, (0, 0, 0))
     assert [len(c) for c in calls] == [26, 24, 375]
     assert result == per_ray_depth(pdef, (0, 0, 0)) == (np.inf, False)
@@ -521,7 +536,7 @@ def test_depth_tie_goes_to_the_first_ray(species):
         stiffness = k if d[0] < 0 else 100.0 * k
         return float(min(0.5 * stiffness * np.sum(d**2), cap))
 
-    pdef = PotentialDef(energy=energy, species=species)
+    pdef = synthetic_potential(species, energy)
     assert (trap_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth)
             == per_ray_depth(pdef, (0, 0, 0), search_halfwidth=halfwidth) == (cap, True))
 
@@ -571,9 +586,8 @@ def test_no_minimum_reported_as_convergence_failure(species):
     def energy(r):
         return float(1e-24 * np.asarray(r, dtype=float)[0])
 
-    pdef = PotentialDef(energy=energy, species=species,
-                        gradient=lambda r: np.array([1e-24, 0.0, 0.0]),
-                        hessian=lambda r: np.zeros((3, 3)))
+    pdef = synthetic_potential(species, energy, lambda r: np.array([1e-24, 0.0, 0.0]),
+                               lambda r: np.zeros((3, 3)))
     with pytest.raises(ConvergenceError):
         find_trap_minimum(pdef, (0.0, 100e-6, 0.0))
 
@@ -606,18 +620,26 @@ def test_one_jacobian_batch_per_newton_step(monkeypatch):
 
 
 def test_characterize_trap_reuses_the_search(monkeypatch, paper_model, paper, species):
-    # the frequencies take the Hessian of the search's last stencil and the
-    # depth its U at the minimum: no Jacobian batch and no 1-point energy
-    # at the minimum after that stencil
+    # the frequencies take the Hessian of the search's last stencil, the
+    # bottom field its B at the minimum and the depth its U there: no
+    # Jacobian batch, no 1-point field and no 1-point energy at the minimum
+    # after that stencil
     _, currents, _ = paper
     events = []
-    field_and_jacobian = BiotSavartModel.field_and_jacobian
+    field_and_jacobian, field = BiotSavartModel.field_and_jacobian, BiotSavartModel.field
 
     def counted(self, cur, points):
         events.append("stencil")
         return field_and_jacobian(self, cur, points)
 
+    def logged_field(self, cur, points):
+        points = np.atleast_2d(points)
+        if len(points) == 1:
+            events.append(("field",) + tuple(points[0].tolist()))
+        return field(self, cur, points)
+
     monkeypatch.setattr(BiotSavartModel, "field_and_jacobian", counted)
+    monkeypatch.setattr(BiotSavartModel, "field", logged_field)
     pdef = magnetic_potential(paper_model, currents, species)
 
     def logged(r):
@@ -632,3 +654,4 @@ def test_characterize_trap_reuses_the_search(monkeypatch, paper_model, paper, sp
     last = max(i for i, event in enumerate(events) if event == "stencil")
     assert events.count("stencil") == stencils
     assert tc.minimum in events[:last] and tc.minimum not in events[last:]
+    assert ("field",) + tc.minimum not in events[last:]
