@@ -110,12 +110,16 @@ class _SegmentTable(NamedTuple):
                     extra += 1
             lo = hi
         # each block's segments position by position, run by run; its nodes
-        # are their starts, then the ends of the last position
-        columns = [(lo + length * np.arange(runs) + np.arange(length)[:, None]).ravel()
-                   for lo, _, runs, length in blocks]
-        nodes = np.concatenate([rows for column, (*_, runs, _) in zip(columns, blocks)
-                                for rows in (starts[column], ends[column[-runs:]])])
-        d = d[:, np.concatenate(columns)]
+        # are their starts, then the ends of the last position.  Where that
+        # is segment order (one run, or runs of one segment) the reshapes
+        # are views and only the concatenations copy
+        spans = [(lo, lo + runs * length, runs, length) for lo, _, runs, length in blocks]
+        nodes = np.concatenate([
+            rows for lo, hi, runs, length in spans
+            for rows in (starts[lo:hi].reshape(runs, length, 3).transpose(1, 0, 2).reshape(-1, 3),
+                         ends[lo + length - 1:hi:length])])
+        d = np.concatenate([d[:, lo:hi].reshape(3, runs, length).transpose(0, 2, 1).reshape(3, -1)
+                            for lo, hi, runs, length in spans], axis=1)
         return cls(
             nodes=np.ascontiguousarray(nodes[:, _AXES].T),
             blocks=np.array(blocks),

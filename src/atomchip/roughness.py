@@ -125,6 +125,27 @@ def perturb_wire(wire: WireSegmentPath, deviation, step: float = 5e-6) -> WireSe
     return replace(wire, nodes=resampled)
 
 
+def _merge_z_runs(wire: WireSegmentPath) -> WireSegmentPath:
+    """``wire`` with its chained runs of exactly z-parallel segments merged.
+
+    A segment is z-parallel when the x and y of its node difference are
+    both exactly 0.  A node is straight when its segments (one at either
+    end of the wire) are z-parallel with z differences of one sign; the
+    filament offsets move it along their normal itself (geometry._miters),
+    so the filament nodes of a stretch of straight nodes share their x and y
+    bits.  A straight node between two straight nodes is dropped: every kept
+    node keeps its miter, and every merged filament segment has d_x = d_y =
+    0 exactly.  A straight wire along z becomes one segment; a run that
+    meets a bend keeps its segment at that end.
+    """
+    d = np.diff(wire.nodes, axis=0)
+    along_z = np.where((d[:, 0] == 0.0) & (d[:, 1] == 0.0), np.sign(d[:, 2]), 0.0)
+    padded = np.concatenate([along_z[:1], along_z, along_z[-1:]])
+    straight = (padded[:-1] != 0.0) & (padded[:-1] == padded[1:])
+    inside = straight[:-2] & straight[1:-1] & straight[2:]
+    return replace(wire, nodes=wire.nodes[np.concatenate([[True], ~inside, [True]])])
+
+
 @dataclass(frozen=True)
 class RoughnessProfile:
     """dB_z(z) and dV(z) along the trap-bottom line, plus the ratio to the
@@ -161,9 +182,16 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
                     n_thickness: int = DEFAULT_N_THICKNESS) -> RoughnessProfile:
     """dB_z(z) of the perturbed wire minus the straight wire at fixed height.
 
-    Both wires are resampled identically, so a zero deviation gives exactly
-    zero.  The evaluation line sits ``height`` above the chip surface at the
-    unperturbed centerline x nearest z = 0; dV is
+    The straight reference is the resampled wire of ``perturb_wire(wire,
+    None)`` with its runs of exactly z-parallel segments merged
+    (_merge_z_runs): a straight wire along z keeps one segment, and a run
+    that meets a bend keeps its end segments.  A segment with d_x = d_y = 0
+    adds an exact 0 to B_z (f_z = a_x d_y - a_y d_x), so the reference has
+    the B_z bits of the resampled wire and a zero deviation gives exactly
+    zero dB_z, on a bent wire too; only its |B| rounds differently.  The
+    evaluation line
+    sits ``height`` above the chip surface at the unperturbed centerline x
+    nearest z = 0; dV is
     zeeman_slope * dB_z, the potential change of a trap whose bottom field
     lies along z (Esteve et al., PRA 70, 043629 (2004)), and ratio_to_main
     divides dB_z by the straight wire's field magnitude pointwise.
@@ -194,7 +222,7 @@ def _roughness_profiles(wire: WireSegmentPath, deviations, current: float, heigh
         model = BiotSavartModel(ChipLayout(wires=(w,)), n_width, n_thickness)
         return model.field(currents, points)
 
-    B_s = field(perturb_wire(wire, None))
+    B_s = field(_merge_z_runs(perturb_wire(wire, None)))
     profiles = []
     for bent in bents:
         delta_bz = field(bent)[:, 2] - B_s[:, 2]

@@ -318,6 +318,36 @@ def test_model_segment_tables_match_filament_loop(paper_model, bent):
             assert array.tobytes() == ref.tobytes(), (channel, name)
 
 
+def _index_built_layout(starts, ends, blocks):
+    """A table's nodes and segment order built block by block from explicit
+    index arrays of the position-by-position order."""
+    columns = [(lo + length * np.arange(runs) + np.arange(length)[:, None]).ravel()
+               for lo, _, runs, length in blocks]
+    nodes = np.concatenate([rows for column, (*_, runs, _) in zip(columns, blocks)
+                            for rows in (starts[column], ends[column[-runs:]])])
+    return nodes, np.concatenate(columns)
+
+
+@pytest.mark.parametrize("case", ["builtin", "bent-1201", "mixed runs"])
+def test_segment_table_equal_to_index_built_layout(paper_model, case):
+    # the table takes each block by reshapes, views where the block is in
+    # segment order (one run, or runs of one segment)
+    if case == "mixed runs":
+        tables = [_random_runs(np.random.default_rng(5), _RUN_CASES["mixed"][0])]
+    else:
+        model = _roughness_model(_BENT) if case == "bent-1201" else paper_model
+        tables = [_channel_segments(model.layout, c)[:2] for c in model.channels]
+    for starts, ends in tables:
+        table = _SegmentTable.build(starts, ends, 0.25)
+        nodes, order = _index_built_layout(starts, ends, table.blocks.tolist())
+        seg = ends - starts
+        d = (seg / np.einsum("ij,ij->i", seg, seg)[:, None]).T[:, order]
+        assert np.array_equal(table.nodes, nodes[:, [0, 1, 2, 0, 1]].T)
+        assert np.array_equal(table.d_xzy, d[[0, 2, 1]])
+        assert np.array_equal(table.d_zxy, d[[2, 0, 1]])
+        assert np.array_equal(table.d_yzx, d[[1, 2, 0]])
+
+
 def test_kernel_blocks_match_one_unchunked_call():
     # 28,800 segments in 113 blocks against one einsum over all of them
     model = _roughness_model(None)

@@ -5,10 +5,10 @@ from scipy import integrate, special
 from atomchip.constants import BOHR_MAGNETON, BOLTZMANN, GAUSS, MU_0, PLANCK
 from atomchip.errors import ChipError, ConfigError, GeometryError
 from atomchip.fields import BiotSavartModel
-from atomchip.geometry import WireSegmentPath
+from atomchip.geometry import WireSegmentPath, builtin_paper_layout
 from atomchip.reproduction import roughness_test_wire
 from atomchip.roughness import (
-    RandomDeviation, SinusoidDeviation, TriangleDeviation, _roughness_profiles,
+    RandomDeviation, SinusoidDeviation, TriangleDeviation, _merge_z_runs, _roughness_profiles,
     contact_interaction_constant, invert_density_boltzmann,
     invert_density_thomas_fermi, perturb_wire, remove_harmonic_background,
     roughness_field, thomas_fermi_linear_density,
@@ -96,6 +96,62 @@ def test_straight_wire_zero_roughness(straight_wire, species):
     prof = roughness_field(straight_wire, None, current=2.0, height=150e-6,
                            z_values=z, species=species, n_width=4, n_thickness=1)
     assert max(abs(v) for v in prof.delta_Bz) == 0.0
+
+
+# a Z wire whose filament offsets at the ends of its central run round
+# differently from those inside it
+_OFFSET_Z = WireSegmentPath(name="z", channel="z", width=10e-6, thickness=2e-6,
+                            nodes=((-1.9e-4, -1e-6, -2e-3), (1e-5, -1e-6, -1e-3),
+                                   (1e-5, -1e-6, 1e-3), (2.1e-4, -1e-6, 2e-3)))
+
+
+@pytest.mark.parametrize("case", ["z2", "offset z"])
+def test_bent_wire_zero_roughness(species, case):
+    # against the merged reference, on a wire with diagonal leads
+    if case == "z2":
+        wire, filaments = builtin_paper_layout()[0].wire("z2"), {}
+    else:
+        wire, filaments = _OFFSET_Z, {"n_width": 4, "n_thickness": 2}
+    z = np.linspace(-800e-6, 800e-6, 41)
+    prof = roughness_field(wire, None, current=2.0, height=150e-6, z_values=z,
+                           species=species, **filaments)
+    assert max(abs(v) for v in prof.delta_Bz) == 0.0
+    assert max(abs(v) for v in prof.ratio_to_main) == 0.0
+
+
+def test_merged_reference_of_straight_wire_is_one_segment():
+    wire = roughness_test_wire()
+    assert len(perturb_wire(wire, None).nodes) == 1201
+    assert np.array_equal(_merge_z_runs(perturb_wire(wire, None)).nodes, wire.nodes)
+
+
+def test_merged_reference_keeps_every_bend():
+    # z2's central run becomes three segments, the middle one merged; its
+    # diagonal leads and the chords that cut their corners keep every node
+    layout, _, _ = builtin_paper_layout()
+    resampled = perturb_wire(layout.wire("z2"), None)
+    merged, resampled = _merge_z_runs(resampled).nodes, resampled.nodes
+    d, d_merged = np.diff(resampled, axis=0), np.diff(merged, axis=0)
+    along_z = np.flatnonzero((d[:, 0] == 0.0) & (d[:, 1] == 0.0))
+    merged_along_z = np.flatnonzero((d_merged[:, 0] == 0.0) & (d_merged[:, 1] == 0.0))
+    assert len(along_z) == 1400 and len(merged_along_z) == 3
+    assert len(merged) == len(resampled) - 1400 + 3
+    assert np.array_equal(np.delete(d_merged, merged_along_z[1], axis=0),
+                          np.delete(d, along_z[1:-1], axis=0))
+    assert np.array_equal(merged[[0, -1]], resampled[[0, -1]])
+
+
+@pytest.mark.parametrize("nodes_um, kept", [
+    # out along +z and straight back along -z
+    ([(0, 0, z) for z in (0, 100, 200, 300, 200, 100, 0)], [0, 2, 3, 4, 6]),
+    # a 1 um step in x between the two runs
+    ([(0, 0, 0), (0, 0, 100), (0, 0, 200), (0, 0, 300), (1, 0, 300), (1, 0, 200), (1, 0, 100),
+      (1, 0, 0)], [0, 2, 3, 4, 5, 7]),
+])
+def test_merged_reference_keeps_turns_and_their_neighbours(nodes_um, kept):
+    wire = WireSegmentPath(name="u", channel="u", width=1e-6, thickness=1e-6,
+                           nodes=np.asarray(nodes_um) * 1e-6)
+    assert np.array_equal(_merge_z_runs(wire).nodes, wire.nodes[kept])
 
 
 def test_linearity_in_deviation_amplitude(straight_wire, species):
