@@ -188,13 +188,13 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
     that meets a bend keeps its end segments.  A segment with d_x = d_y = 0
     adds an exact 0 to B_z (f_z = a_x d_y - a_y d_x), so the reference has
     the B_z bits of the resampled wire and a zero deviation gives exactly
-    zero dB_z, on a bent wire too; only its |B| rounds differently.  The
-    evaluation line
-    sits ``height`` above the chip surface at the unperturbed centerline x
-    nearest z = 0; dV is
-    zeeman_slope * dB_z, the potential change of a trap whose bottom field
-    lies along z (Esteve et al., PRA 70, 043629 (2004)), and ratio_to_main
-    divides dB_z by the straight wire's field magnitude pointwise.
+    zero dB_z, on a bent wire too; only its |B| rounds differently.
+
+    The evaluation line sits ``height`` above the chip surface at the
+    unperturbed centerline x nearest z = 0; dV is zeeman_slope * dB_z, the
+    potential change of a trap whose bottom field lies along z (Esteve et
+    al., PRA 70, 043629 (2004)), and ratio_to_main divides dB_z by the
+    straight wire's field magnitude pointwise.
     """
     return _roughness_profiles(wire, (deviation,), current, height, z_values, species,
                                n_width, n_thickness)[0]

@@ -85,5 +85,5 @@ def test_delta_bz_and_delta_v_bitwise_equal_to_goldens(case):
                                    rtol=1e-12, atol=0.0)
 
 
-def test_readme_roughness_csv_keeps_its_sha256(tmp_path, capsys):
+def test_readme_roughness_csv_keeps_its_sha256(tmp_path):
     assert readme_csv_sha256(tmp_path) == json.loads(GOLDENS.read_text())["readme_csv_sha256"]
