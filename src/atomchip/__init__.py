@@ -9,8 +9,8 @@ from .errors import (
 from .fields import BiotSavartModel, GridSpec, field_map
 from .fringes import (
     FringeFitResult, FringeModel, GaussianEnvelope, PhaseEnsembleStats,
-    end_to_end_shot, fit_modulated_gaussian, fringe_period, phase_ensemble,
-    phase_statistics, synthesize_fringes, wrap_phase,
+    end_to_end_shot, fit_modulated_gaussian, fringe_period, phase_statistics,
+    synthesize_fringes, wrap_phase,
 )
 from .geometry import (
     AtomSpecies, ChipLayout, CurrentConfig, RfChannelDrive, WireSegmentPath,

@@ -290,6 +290,11 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
     return np.concatenate([terms[0], J.reshape(9, n)])
 
 
+def _point_um(x) -> str:
+    """A point in m as "point (x, y, z) um", the form error messages give."""
+    return "point ({:.3f}, {:.3f}, {:.3f}) um".format(*(np.asarray(x) * 1e6))
+
+
 class BiotSavartModel:
     """Compiled per-channel segment arrays for one layout + discretization."""
 
@@ -352,8 +357,7 @@ class BiotSavartModel:
         index = self.frames.first_containing(points, DOMAIN_PAD)
         if index.max(initial=-1) >= 0:
             k = int(np.argmax(index >= 0))
-            x, y, z = points[k] * 1e6
-            raise FieldDomainError(f"point ({x:.3f}, {y:.3f}, {z:.3f}) um lies inside "
+            raise FieldDomainError(f"{_point_um(points[k])} lies inside "
                                    f"wire {self.layout.wires[index[k]].name!r}")
         B = np.tile(np.asarray(bias, dtype=float), (len(points), 1))
         units = {}

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import PLANCK
 from .errors import ConfigError, FitError
@@ -46,9 +45,14 @@ def fringe_period(separation: float, tof: float, mass: float) -> float:
     return PLANCK * tof / (mass * separation)
 
 
-def fringe_resolvable(period: float, pixel_spacing: float, min_ratio: float = 4.0) -> bool:
-    """Whether a detector with the given sampling can resolve the fringes."""
-    return period / pixel_spacing > min_ratio
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported at the first call.
+
+    Importing ``scipy.optimize`` costs ~0.3 s, and only the fringe fit
+    needs it, so ``import atomchip`` loads no scipy module.
+    """
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -366,28 +370,3 @@ def end_to_end_shot(well_report, species: AtomSpecies, x, phase: float,
     )
     profile = synthesize_fringes(model, x, noise=noise, rng=rng, seed=seed)
     return fit_modulated_gaussian(x, profile)
-
-
-def phase_ensemble(well_report, species: AtomSpecies, x, n_shots: int, seed: int,
-                   base_phase: float = 0.0, phase_jitter: float = 0.0,
-                   contrast: float = 0.6, tof: float = DEFAULT_TOF,
-                   envelope: GaussianEnvelope | None = None,
-                   noise: float = 0.0):
-    """Seeded ensemble of simulated shots; returns (fitted, injected) phases.
-
-    Each shot owns a child generator spawned from ``seed`` (drawing first
-    the injected phase, then the detection noise), so ensembles reproduce
-    exactly and shots could run concurrently without changing results.
-    """
-    children = np.random.SeedSequence(seed).spawn(n_shots)
-    fitted, injected = [], []
-    for k in range(n_shots):
-        rng = np.random.default_rng(children[k])
-        phi = base_phase + phase_jitter * rng.standard_normal()
-        result = end_to_end_shot(
-            well_report, species, x, phase=phi, contrast=contrast, tof=tof,
-            envelope=envelope, noise=noise, rng=rng,
-        )
-        fitted.append(result.phase)
-        injected.append(wrap_phase(phi))
-    return np.asarray(fitted), np.asarray(injected)

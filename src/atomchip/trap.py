@@ -43,7 +43,7 @@ from .errors import (
     ChipError, ConfigError, ConvergenceError, FieldDomainError, FieldZeroError,
     SaddlePointError,
 )
-from .fields import DOMAIN_PAD, BiotSavartModel
+from .fields import DOMAIN_PAD, BiotSavartModel, _point_um
 from .geometry import AtomSpecies, CurrentConfig, Vec3, _dot3
 
 GRAD_TOL = 1e-26       # J/m
@@ -198,9 +198,10 @@ def find_trap_minimum(pdef: PotentialDef, seed_point) -> TrapCharacterization:
     a conductor or outside the 1 mm box centred on the seed count as infinite U.
     The solve stops when a step falls below 1e-13 m: a gradient stop would
     accept any point of a soft axis (the builtin trap's axial curvature,
-    5e-24 J/m^2, meets 1e-26 J/m within +-2 mm).  Raises ConvergenceError
-    if |grad U| then exceeds ``GRAD_TOL`` or the point sits on the box wall,
-    and ConfigError for a seed that is not finite.
+    5e-24 J/m^2, meets 1e-26 J/m within +-2 mm).  Raises ConvergenceError,
+    naming the search's last point, if |grad U| then exceeds ``GRAD_TOL``
+    or the point sits on the box wall, and ConfigError for a seed that is
+    not finite.
     """
     return _search(pdef, seed_point)[0]
 
@@ -246,12 +247,13 @@ def _search(pdef: PotentialDef, seed_point):
         else:
             radius = length / 4.0
     else:
-        raise ConvergenceError("no trap minimum found within the iteration budget")
-    if not gnorm <= GRAD_TOL:
         raise ConvergenceError(
-            f"search stalled at |grad U| = {gnorm:.3g} J/m > {GRAD_TOL:.3g} J/m")
+            f"no trap minimum found within the iteration budget; last {_point_um(x)}")
+    if not gnorm <= GRAD_TOL:
+        raise ConvergenceError(f"search stalled at {_point_um(x)}: "
+                               f"|grad U| = {gnorm:.3g} J/m > {GRAD_TOL:.3g} J/m")
     if np.any(np.abs(x - seed) >= _DOMAIN_HALFWIDTH * (1.0 - 1e-9)):
-        raise ConvergenceError("trap minimum escaped the search domain")
+        raise ConvergenceError(f"trap minimum escaped the search domain at {_point_um(x)}")
 
     return TrapCharacterization(
         minimum=tuple(float(c) for c in x),

@@ -246,3 +246,10 @@ def test_split_scan_bad_slice_is_an_error(tmp_path, capsys, option, message):
 def test_trap_non_finite_seed_is_an_error(capsys, point):
     assert run(["trap", f"--seed-point={point}"]) == 1
     assert capsys.readouterr().err.startswith("error: seed point must be finite")
+
+
+def test_stalled_trap_search_names_its_last_point(capsys):
+    # seeded 0.5 um above the chip, the search ends ~1 nm above z2's top face
+    assert run(["trap", "--seed-point=-42.5,0.5,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: search stalled at point (-42.500, 0.001, 0.000) um: ")

@@ -588,7 +588,7 @@ def test_no_minimum_reported_as_convergence_failure(species):
 
     pdef = synthetic_potential(species, energy, lambda r: np.array([1e-24, 0.0, 0.0]),
                                lambda r: np.zeros((3, 3)))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"point \(-?\d+\.\d{3}, "):
         find_trap_minimum(pdef, (0.0, 100e-6, 0.0))
 
 
