@@ -227,6 +227,10 @@ def _cmd_roughness(ns) -> int:
         raise ConfigError(
             f"channel {wire.channel!r} carries no current; pass --current-A"
         )
+    if ns.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {ns.points}")
+    if not 0.0 < ns.z_half_um < np.inf:
+        raise ConfigError(f"--z-half-um must be finite and > 0, got {ns.z_half_um:g}")
     z_half = ns.z_half_um * UM
     deviation = _build_deviation(ns, z_half)
     z = np.linspace(-z_half, z_half, ns.points)

@@ -27,6 +27,17 @@ and computes the vector a from each node to each point, |a|^2 and |a|, and
 for the Jacobian 1/|a|, once per node; a segment reads them at its start
 and at its end.  They are the bits the segment would compute itself, so
 sharing them changes no result.
+
+Points on a line along a coordinate axis share two of their coordinates,
+so a node's or segment's values in those two are the same for every point.
+A field-only piece of at least _LINE_MIN_POINTS such points, chosen from
+the points' bits alone, goes to a line path that computes those values
+once per node or segment as columns and only the rest per point: a block
+on a z line then makes about 31 passes over (nodes or segments x points)
+planes instead of about 48.  The roughness profile and the split-scan
+slice are such lines.  The line path applies the same operations to the
+same operands in the orders above, so a point's bits do not depend on the
+path it takes.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from math import prod
 from typing import NamedTuple
 
@@ -56,6 +68,18 @@ _SEGMENT_BLOCK = 256  # segments per kernel block
 # which fits a 2 MB L2 cache (at 2**14 a 1201-point slice of the builtin
 # chip took ~1.5x longer)
 _KERNEL_POINT_SEGMENTS = 2**13
+# points x segments per piece of an axis line (_line_piece_field): its
+# blocks hold ~7 doubles per point-segment, 0.9 MB at this size, less than
+# the stacked path's pieces.  A 161-point z line on the 28,800-segment
+# roughness model took 112-116 ms at 2**14, 141-144 ms at 2**13 and
+# 108-116 ms at 2**15 (best of 6, 2-core x86_64 host)
+_LINE_POINT_SEGMENTS = 2**14
+# the fewest points a piece takes to an axis line.  Against the stacked path
+# on the 72-segment z2 channel (same host, best of 600 calls), an x or z
+# line took +6 to +8% at 16 points, -1 to +1% at 24, -7 to -8% at 32 and
+# -26% at 113: the per-block cost of the line path's column operations only
+# pays from ~30 points on
+_LINE_MIN_POINTS = 32
 # point coordinates in the kernel's layout, see _SegmentTable.nodes
 _AXES = np.array([0, 1, 2, 0, 1])
 DOMAIN_PAD = 1e-9  # m, padding of the conductor test
@@ -154,18 +178,129 @@ def _segment_field(points: np.ndarray, table: _SegmentTable,
 
     Closed-form finite-segment expression; (N,3) result for (N,3) points,
     or with ``jacobian`` (N,12): the field, then dB_i/dx_j row by row.
-    Takes the points in pieces of at most _KERNEL_POINT_SEGMENTS // block
-    points (see _piece_field).
+
+    Takes the points in pieces.  A field-only piece of up to
+    _LINE_POINT_SEGMENTS // block points that lies on a line along a
+    coordinate axis (_line_axis) goes to _line_piece_field; every other
+    piece, of at most _KERNEL_POINT_SEGMENTS // block points, to
+    _piece_field.  Both make the module docstring's roundings, so the path
+    a point takes does not show in its bits.
     """
     blocks = table.blocks.tolist()
     block = max(runs * length for *_, runs, length in blocks)
     block_nodes = max(runs * (length + 1) for *_, runs, length in blocks)
     rows = max(1, _KERNEL_POINT_SEGMENTS // block)
+    line_rows = max(1, _LINE_POINT_SEGMENTS // block)
     out = np.empty((len(points), 12 if jacobian else 3))
-    for lo in range(0, len(points), rows):
-        out[lo:lo + rows] = _piece_field(points[lo:lo + rows], table, blocks, block,
-                                         block_nodes, jacobian).T
+    lo = 0
+    while lo < len(points):
+        axis = None if jacobian else _line_axis(points[lo:lo + line_rows])
+        if axis is None:
+            piece = _piece_field(points[lo:lo + rows], table, blocks, block, block_nodes,
+                                 jacobian)
+        else:
+            piece = _line_piece_field(points[lo:lo + line_rows], table, blocks, block,
+                                      block_nodes, axis)
+        out[lo:lo + piece.shape[1]] = piece.T
+        lo += piece.shape[1]
     return out
+
+
+def _line_axis(points: np.ndarray) -> int | None:
+    """The axis of the line ``points`` lie on, if there are at least
+    _LINE_MIN_POINTS of them and they share the other two coordinates bit
+    for bit; else None.  The coordinates the first and last points share
+    are tested first: most pieces that are no line stop there, at a fifth
+    of the cost of testing every point."""
+    if len(points) < _LINE_MIN_POINTS:
+        return None
+    bits = points.view(np.int64)
+    shared = bits[-1] == bits[0]
+    if np.count_nonzero(shared) < 2 or not (bits[:, shared] == bits[0, shared]).all():
+        return None
+    return int(np.argmin(shared))
+
+
+def _mul(x: np.ndarray, y: np.ndarray, free) -> np.ndarray:
+    """x * y: into the next of the ``free`` planes where x or y is a whole
+    (rows x points) plane, a new (rows, 1) column where both are columns."""
+    return np.multiply(x, y, out=next(free)) if max(x.shape[1], y.shape[1]) > 1 else x * y
+
+
+def _acc(ufunc: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ufunc(x, y) written over x, or else y, where that is a whole plane; a
+    new column where both are columns."""
+    out = x if x.shape[1] > 1 else y if y.shape[1] > 1 else None
+    return ufunc(x, y, out=out)
+
+
+def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: int,
+                      block_nodes: int, axis: int) -> np.ndarray:
+    """(3, N) field of ``table``'s segments at N > 1 points that share all
+    coordinates but ``axis``: _piece_field's result, bit for bit.
+
+    The shared coordinates give each node and segment one value, so their
+    node differences, products and the ``axis`` component of f = a1 x d are
+    (rows, 1) columns, and only the rest are (rows x points) planes.  Every
+    value is made by the same operation on the same operands, in the order
+    the module docstring gives, as in _piece_field; broadcasting spreads a
+    column over the points without changing a bit.
+
+    The result is a view of this thread's workspace (_buffers), valid until
+    the thread's next call.
+    """
+    n = len(points)
+    line = points[:, axis]
+    # a = point - node and a * a of every node as (3, M, 1) columns; each
+    # block replaces the line's coordinate by planes
+    a_nodes = (points[0, :, None] - table.nodes[:3])[:, :, None]
+    sq_nodes = a_nodes * a_nodes
+    # planes: a, then f * f; |a|, then f; d.a1, then f, and d.a2, then the
+    # sine; the terms as in _piece_field, whose rows first hold f * f
+    a_buf, r_buf, dots, terms = _buffers((block_nodes, n), (block_nodes, n), (2, block, n),
+                                         (block + 1, 3, n))
+    spare = terms[1:].reshape(3, block, n)[0]
+    terms[0] = 0.0
+    for lo, node, runs, length in blocks:
+        b = runs * length
+        m = b + runs
+        hi = lo + b
+        a, sq = list(a_nodes[:, node:node + m]), list(sq_nodes[:, node:node + m])
+        a[axis] = np.subtract(line, table.nodes[axis, node:node + m, None], out=a_buf[:m])
+        r = sq[axis] = np.multiply(a[axis], a[axis], out=r_buf[:m])
+        np.sqrt(_acc(np.add, _acc(np.add, sq[0], sq[1]), sq[2]), out=r)
+        # a at the segments' starts and ends: the block's first b nodes and
+        # the b from node ``runs`` on (_SegmentTable)
+        ends = [[x[e * runs:e * runs + b] for x in a] for e in (0, 1)]
+        dx, dz, dy = table.d_xzy[:, lo:hi, None]
+        for (ax, ay, az), dot, norm in zip(ends, dots[:, :b], (r[:b], r[runs:runs + b])):
+            free = repeat(dot)
+            dot = _acc(np.add, _acc(np.add, _mul(ax, dx, free), _mul(az, dz, free)),
+                       _mul(ay, dy, free))
+            dot /= norm
+        sine = np.subtract(dots[1, :b], dots[0, :b], out=dots[1, :b])
+        # f = a1 x d, then f * f
+        a1, d = ends[0], (dx, dy, dz)
+        free = iter((r_buf[:b], dots[0, :b]))
+        f = [_acc(np.subtract, _mul(a1[u], d[v], free), _mul(a1[v], d[u], free))
+             for u, v in ((1, 2), (2, 0), (0, 1))]
+        free = iter((a_buf[:b], spare[:b]))
+        ff = [_mul(fc, fc, free) for fc in f]
+        s2 = _acc(np.add, _acc(np.add, ff[0], ff[2]), ff[1])
+        online = s2 < _ONLINE_EPS
+        any_online = np.count_nonzero(online) > 0
+        if any_online:
+            s2[online] = 1.0
+        coeff = np.multiply(table.scale[lo:hi], sine, out=sine)
+        coeff /= s2
+        if any_online:
+            coeff[online] = 0.0
+        # the terms go in segment order, run by run
+        seg_terms = terms[1:b + 1].reshape(runs, length, 3, n).transpose(2, 1, 0, 3)
+        for fc, out in zip(f, seg_terms):
+            np.multiply(coeff.reshape(length, runs, n), fc.reshape(length, runs, -1), out=out)
+        terms[0] = np.add.reduce(terms[:b + 1], axis=0)
+    return terms[0]
 
 
 def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: int,

@@ -23,6 +23,15 @@ DENSITY_FLOOR_FRAC = 0.05  # points below this fraction of peak are excluded
 _MAX_DEVIATION_FRAC = 0.1  # |f| < width/10 keeps the small-deviation regime
 
 
+def _check_wave(kind: str, amplitude: float, period: float) -> None:
+    """Raise ConfigError unless the period is finite and > 0 and the
+    amplitude finite (0 is a straight wire)."""
+    if not 0.0 < period < np.inf:
+        raise ConfigError(f"{kind} deviation period must be finite and > 0, got {period:g} m")
+    if not np.isfinite(amplitude):
+        raise ConfigError(f"{kind} deviation amplitude must be finite, got {amplitude:g} m")
+
+
 @dataclass(frozen=True)
 class SinusoidDeviation:
     """f(z) = amplitude * sin(2 pi z / period + phase); max slope 2 pi a / T."""
@@ -30,6 +39,9 @@ class SinusoidDeviation:
     amplitude: float
     period: float
     phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_wave("sinusoid", self.amplitude, self.period)
 
     def offsets(self, z: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(2.0 * np.pi * np.asarray(z) / self.period + self.phase)
@@ -45,6 +57,9 @@ class TriangleDeviation:
 
     amplitude: float
     period: float
+
+    def __post_init__(self) -> None:
+        _check_wave("triangle", self.amplitude, self.period)
 
     def offsets(self, z: np.ndarray) -> np.ndarray:
         xi = np.mod(np.asarray(z) / self.period, 1.0)
@@ -206,9 +221,11 @@ def _roughness_profiles(wire: WireSegmentPath, deviations, current: float, heigh
                         n_thickness: int = DEFAULT_N_THICKNESS) -> list[RoughnessProfile]:
     """roughness_field of each of ``deviations``, against one evaluation of
     the straight wire."""
-    if height <= 0.0:
-        raise ConfigError("evaluation height must be > 0")
+    if not 0.0 < height < np.inf:
+        raise ConfigError(f"evaluation height must be finite and > 0, got {height:g} m")
     z_values = np.asarray(z_values, dtype=float)
+    if z_values.size == 0 or not np.isfinite(z_values).all():
+        raise ConfigError("evaluation z values must be finite, and at least one")
     # the trap sits above the central section, not above the lead endpoints
     pts = wire.nodes
     x_eval = float(pts[np.argmin(np.abs(pts[:, 2])), 0])

@@ -242,6 +242,27 @@ def test_split_scan_bad_slice_is_an_error(tmp_path, capsys, option, message):
     assert not (tmp_path / "split_scan.csv").exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--points=0", "--points must be >= 1, got 0"),
+    ("--points=-3", "--points must be >= 1, got -3"),
+    ("--z-half-um=0", "--z-half-um must be finite and > 0, got 0"),
+    ("--z-half-um=-800", "--z-half-um must be finite and > 0, got -800"),
+    ("--z-half-um=nan", "--z-half-um must be finite and > 0, got nan"),
+    ("--height-um=nan", "evaluation height must be finite and > 0, got nan m"),
+    ("--height-um=inf", "evaluation height must be finite and > 0, got inf m"),
+    ("--period-um=0", "triangle deviation period must be finite and > 0, got 0 m"),
+    ("--amplitude-nm=nan", "triangle deviation amplitude must be finite, got nan m"),
+])
+def test_roughness_bad_slice_or_deviation_is_an_error(tmp_path, capsys, option, message):
+    with np.errstate(all="raise"):  # a numpy warning on the way would raise here
+        code = run(["roughness", option, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "roughness.csv").exists()
+
+
 @pytest.mark.parametrize("point", ["nan,150,0", "0,inf,0"])
 def test_trap_non_finite_seed_is_an_error(capsys, point):
     assert run(["trap", f"--seed-point={point}"]) == 1

@@ -8,14 +8,18 @@ import pytest
 
 from atomchip.constants import GAUSS, MU_0
 from atomchip.errors import FieldDomainError
+from atomchip import fields
 from atomchip.fields import (
-    BiotSavartModel, GridSpec, _SegmentTable, _segment_field, field_map, field_map_csv_rows,
+    _LINE_MIN_POINTS, _LINE_POINT_SEGMENTS, BiotSavartModel, GridSpec, _SegmentTable,
+    _segment_field, field_map, field_map_csv_rows,
 )
 from atomchip.geometry import (
     ChipLayout, ConductorFrames, CurrentConfig, WireSegmentPath, discretize_wire,
 )
 from atomchip.reproduction import roughness_test_wire, thin_wire_layout
-from atomchip.roughness import RandomDeviation, perturb_wire
+from atomchip.rf import _slice_points
+from atomchip.roughness import RandomDeviation, TriangleDeviation, perturb_wire, roughness_field
+from atomchip.trap import _DEPTH_DIRECTIONS, _DEPTH_HALFWIDTH, magnetic_potential
 
 
 def test_zero_currents_zero_bias(thin_model):
@@ -431,6 +435,106 @@ def test_kernel_runs_bitwise_equal_to_einsum_reference(case):
     points = _kernel_points(_TILTED, rng, 40)
     expected = _einsum_segment_field(points, starts, ends, np.full(len(starts), 0.25))
     assert _segment_field(points, table).tobytes() == expected.tobytes()
+
+
+def _kernel_paths(monkeypatch) -> dict[str, int]:
+    """Points that each kernel path takes from here on, counted by piece."""
+    counts = {"line": 0, "stacked": 0}
+    for name, path in (("_line_piece_field", "line"), ("_piece_field", "stacked")):
+        def counted(points, *rest, _kernel=getattr(fields, name), _path=path):
+            counts[_path] += len(points)
+            return _kernel(points, *rest)
+        monkeypatch.setattr(fields, name, counted)
+    return counts
+
+
+def _line_cases(layout, wire, table, rng):
+    """Point sets on and off axis lines above ``layout``, with the points
+    each path should take: (name, points, line points, stacked points)."""
+    rows = max(1, _LINE_POINT_SEGMENTS // int(table.blocks[:, 2:].prod(axis=1).max()))
+    n = 2 * rows + 40  # three pieces, the last one on the line too
+    cases = []
+    for axis in range(3):
+        points = np.repeat(_kernel_points(layout, rng, 1), n, axis=0)
+        points[:, axis] = np.linspace(-1e-3, 1e-3, n) if axis != 1 else np.linspace(2e-6, 4e-4, n)
+        cases.append((f"{'xyz'[axis]} line", points, n, 0))
+    # the last piece is one point short of a line piece
+    short = n - 41 + _LINE_MIN_POINTS
+    cases.append(("short tail", cases[0][1][:short], 2 * rows, short - 2 * rows))
+    # along a filament's first axis-parallel segment, through its nodes: 0/0
+    # at the nodes and every point on the segment's line, all masked
+    parallel = [(fil, k) for fil in discretize_wire(wire, 8, 3) for k in range(len(fil) - 1)
+                if np.count_nonzero(fil[k + 1] == fil[k]) == 2]
+    if parallel:
+        fil, k = parallel[0]
+        axis = int(np.argmax(fil[k + 1] != fil[k]))
+        points = np.repeat(fil[k:k + 1], 100, axis=0)
+        points[:, axis] = np.linspace(fil[k, axis] - 1e-4, fil[k + 1, axis], 100)
+        points[1, axis] = fil[k, axis]
+        cases.append(("on a filament", points, 100, 0))
+    points = _kernel_points(layout, rng, 100)
+    points[:, 1] = 150e-6
+    cases.append(("one shared coordinate", points, 0, 100))
+    cases.append(("identical", np.repeat(points[:1], 100, axis=0), 100, 0))
+    return cases
+
+
+def test_kernel_on_axis_lines_bitwise_equal_to_einsum_reference(paper, monkeypatch):
+    rng = np.random.default_rng(23)
+    mixed = _random_runs(rng, _RUN_CASES["mixed"][0])
+    tables = [(paper[0], next(w for w in paper[0].wires if w.channel == c),
+               *_channel_segments(paper[0], c))
+              for c in paper[0].channels]
+    tables += [(_TILTED, _TILTED.wires[0], *_channel_segments(_TILTED, "t")),
+               (_TILTED, _TILTED.wires[0], *mixed, np.full(len(mixed[0]), 0.25))]
+    cases = set()
+    for layout, wire, starts, ends, weights in tables:
+        table = _SegmentTable.build(starts, ends, weights[0])
+        for name, points, line, stacked in _line_cases(layout, wire, table, rng):
+            cases.add(name)
+            counts = _kernel_paths(monkeypatch)
+            with np.errstate(invalid="ignore"):  # 0/0 at a segment end, masked
+                expected = _einsum_segment_field(points, starts, ends, weights)
+                got = _segment_field(points, table)
+            assert got.tobytes() == expected.tobytes(), (len(starts), name)
+            assert counts == {"line": line, "stacked": stacked}, (len(starts), name)
+    assert len(cases) == 7
+
+
+def test_kernel_on_the_roughness_profile_bitwise_equal_to_einsum_reference(monkeypatch):
+    # the 161-point z line of roughness_field on the bent 28,800-segment model
+    model = _roughness_model(_BENT)
+    starts, ends, weights = _channel_segments(model.layout, "w")
+    points = np.column_stack([np.zeros(161), np.full(161, 150e-6), np.linspace(-8e-4, 8e-4, 161)])
+    rows = 2**18 // len(starts)
+    expected = np.concatenate([_einsum_segment_field(points[lo:lo + rows], starts, ends, weights)
+                               for lo in range(0, 161, rows)])
+    counts = _kernel_paths(monkeypatch)
+    assert model.channel_unit_field("w", points).tobytes() == expected.tobytes()
+    assert counts == {"line": 161, "stacked": 0}
+
+
+def test_kernel_path_chosen_from_the_points(paper_model, paper, species, monkeypatch):
+    # the roughness profile and the split-scan slice lie on axis lines; the
+    # trap search's stencils, single points and first depth round do not
+    layout, currents, _ = paper
+    pdef = magnetic_potential(paper_model, currents, species)
+    x0 = np.array([-42.5e-6, 150e-6, 0.0])
+    calls = {
+        "roughness profile": lambda: roughness_field(
+            roughness_test_wire(), TriangleDeviation(20e-9, 8e-4), current=2.0, height=150e-6,
+            z_values=np.linspace(-8e-4, 8e-4, 161), species=species),
+        "split-scan slice": lambda: paper_model.field(
+            currents, _slice_points(x0, (1.0, 0.0, 0.0), 12e-6, 1201)[1]),
+        "7-point stencil": lambda: pdef.local(x0),
+        "1 point": lambda: pdef.energy(x0),
+        "first depth round": lambda: pdef.energy_batch(x0 + _DEPTH_HALFWIDTH * _DEPTH_DIRECTIONS),
+    }
+    for name, call in calls.items():
+        counts = _kernel_paths(monkeypatch)
+        call()
+        on_line = name in ("roughness profile", "split-scan slice")
+        assert (counts["line"] > 0, counts["stacked"] > 0) == (on_line, not on_line), name
 
 
 def test_kernel_field_and_jacobian_independent_of_block_size(monkeypatch):

@@ -81,6 +81,25 @@ def test_random_deviation_rejects_negative_rms_and_long_correlation(kwargs, matc
         RandomDeviation(seed=1, z_min=0.0, z_max=1e-3, **kwargs)
 
 
+@pytest.mark.parametrize("cls", [SinusoidDeviation, TriangleDeviation])
+@pytest.mark.parametrize("amplitude, period, match", [
+    (20e-9, 0.0, "period must be finite and > 0, got 0 m"),
+    (20e-9, -8e-4, "period must be finite and > 0, got -0.0008 m"),
+    (20e-9, np.inf, "period must be finite and > 0, got inf m"),
+    (20e-9, np.nan, "period must be finite and > 0, got nan m"),
+    (np.nan, 8e-4, "amplitude must be finite, got nan m"),
+    (-np.inf, 8e-4, "amplitude must be finite, got -inf m"),
+])
+def test_wave_deviation_rejects_bad_period_and_amplitude(cls, amplitude, period, match):
+    with pytest.raises(ConfigError, match=match):
+        cls(amplitude=amplitude, period=period)
+
+
+@pytest.mark.parametrize("cls", [SinusoidDeviation, TriangleDeviation])
+def test_wave_deviation_of_zero_amplitude_is_straight(cls):
+    assert np.all(cls(amplitude=0.0, period=8e-4).offsets(np.linspace(-1e-3, 1e-3, 9)) == 0.0)
+
+
 def test_random_deviation_step_contract():
     with pytest.raises(ConfigError):
         RandomDeviation(rms=1e-9, correlation_length=1e-4, seed=1,
@@ -274,9 +293,17 @@ def test_rows_header(straight_wire, species):
 
 
 def test_invalid_height_rejected(straight_wire, species):
-    with pytest.raises(ConfigError):
-        roughness_field(straight_wire, None, current=2.0, height=0.0,
-                        z_values=[0.0], species=species)
+    for height, z_values, match in [
+        (0.0, [0.0], "height must be finite and > 0, got 0 m"),
+        (np.nan, [0.0], "height must be finite and > 0, got nan m"),
+        (np.inf, [0.0], "height must be finite and > 0, got inf m"),
+        (150e-6, [], "z values must be finite, and at least one"),
+        (150e-6, [0.0, np.nan], "z values must be finite, and at least one"),
+        (150e-6, [np.inf], "z values must be finite, and at least one"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            roughness_field(straight_wire, None, current=2.0, height=height,
+                            z_values=z_values, species=species)
 
 
 # ---------------------------------------------------------------------------

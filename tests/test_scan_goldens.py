@@ -7,6 +7,7 @@ Jacobian batch.  Those changes reuse work without changing any arithmetic,
 so every value must still match to the last bit.
 """
 
+import hashlib
 import json
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from atomchip.cli import run
 from atomchip.constants import GAUSS
 from atomchip.fields import BiotSavartModel
 from atomchip.geometry import builtin_paper_layout
@@ -22,6 +24,11 @@ from atomchip.rf import split_scan
 from atomchip.trap import characterize_trap, find_trap_minimum, magnetic_potential
 
 GOLDENS = Path(__file__).parent / "data" / "split_scan_goldens.json"
+ROOT = Path(__file__).resolve().parents[1]
+# the README command line, run from the repository root as the CI workflow
+# runs it and checks it against the same sha256; the manifest line names
+# the config path as given
+README_COMMAND = ["split-scan", "--config", "configs/paper_split_scan.json"]
 SPLIT_SEED = (0.0, 110e-6, 0.0)
 RAMP = tuple(np.linspace(0.005, 0.030, 32).tolist())
 PERTURBED_BIAS = (30.3 * GAUSS, 0.0, 1.7 * GAUSS)
@@ -93,14 +100,26 @@ CASES = {fn.__name__: fn for fn in (scan_paper, scan_perturbed_ramp, scan_refine
                                      trap_builtin, trap_near_wire_seed)}
 
 
-def golden_values() -> dict:
-    """Every case's values, as the goldens file stores them."""
-    return {name: fn() for name, fn in CASES.items()}
+def readme_csv_sha256(out: Path) -> str:
+    assert run(README_COMMAND + ["--out", str(out)]) == 0
+    return hashlib.sha256((out / "split_scan.csv").read_bytes()).hexdigest()
+
+
+def golden_values(out: Path) -> dict:
+    """Every case's values, and the README CSV's sha256, as the goldens file
+    stores them; run from the repository root, the CSV is written to ``out``."""
+    return {**{name: fn() for name, fn in CASES.items()},
+            "readme_csv_sha256": readme_csv_sha256(out)}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_bitwise_equal_to_goldens(case):
     assert CASES[case]() == json.loads(GOLDENS.read_text())[case]
+
+
+def test_readme_split_scan_csv_keeps_its_sha256(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert readme_csv_sha256(tmp_path) == json.loads(GOLDENS.read_text())["readme_csv_sha256"]
 
 
 def test_newton_step_falls_back_to_a_single_point_gradient_near_a_wire(monkeypatch):
