@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from atomchip import fields
 from atomchip.constants import GAUSS, MU_0
 from atomchip.errors import FieldDomainError
-from atomchip import fields
 from atomchip.fields import (
     _LINE_MIN_POINTS, _LINE_POINT_SEGMENTS, BiotSavartModel, GridSpec, _SegmentTable,
     _segment_field, field_map, field_map_csv_rows,
@@ -438,7 +438,8 @@ def test_kernel_runs_bitwise_equal_to_einsum_reference(case):
 
 
 def _kernel_paths(monkeypatch) -> dict[str, int]:
-    """Points that each kernel path takes from here on, counted by piece."""
+    """Points that each kernel path takes from here on, counted by piece;
+    install once per test and zero the counts between calls."""
     counts = {"line": 0, "stacked": 0}
     for name, path in (("_line_piece_field", "line"), ("_piece_field", "stacked")):
         def counted(points, *rest, _kernel=getattr(fields, name), _path=path):
@@ -488,11 +489,12 @@ def test_kernel_on_axis_lines_bitwise_equal_to_einsum_reference(paper, monkeypat
     tables += [(_TILTED, _TILTED.wires[0], *_channel_segments(_TILTED, "t")),
                (_TILTED, _TILTED.wires[0], *mixed, np.full(len(mixed[0]), 0.25))]
     cases = set()
+    counts = _kernel_paths(monkeypatch)
     for layout, wire, starts, ends, weights in tables:
         table = _SegmentTable.build(starts, ends, weights[0])
         for name, points, line, stacked in _line_cases(layout, wire, table, rng):
             cases.add(name)
-            counts = _kernel_paths(monkeypatch)
+            counts.update(line=0, stacked=0)
             with np.errstate(invalid="ignore"):  # 0/0 at a segment end, masked
                 expected = _einsum_segment_field(points, starts, ends, weights)
                 got = _segment_field(points, table)
@@ -517,7 +519,7 @@ def test_kernel_on_the_roughness_profile_bitwise_equal_to_einsum_reference(monke
 def test_kernel_path_chosen_from_the_points(paper_model, paper, species, monkeypatch):
     # the roughness profile and the split-scan slice lie on axis lines; the
     # trap search's stencils, single points and first depth round do not
-    layout, currents, _ = paper
+    currents = paper[1]
     pdef = magnetic_potential(paper_model, currents, species)
     x0 = np.array([-42.5e-6, 150e-6, 0.0])
     calls = {
@@ -530,8 +532,9 @@ def test_kernel_path_chosen_from_the_points(paper_model, paper, species, monkeyp
         "1 point": lambda: pdef.energy(x0),
         "first depth round": lambda: pdef.energy_batch(x0 + _DEPTH_HALFWIDTH * _DEPTH_DIRECTIONS),
     }
+    counts = _kernel_paths(monkeypatch)
     for name, call in calls.items():
-        counts = _kernel_paths(monkeypatch)
+        counts.update(line=0, stacked=0)
         call()
         on_line = name in ("roughness profile", "split-scan slice")
         assert (counts["line"] > 0, counts["stacked"] > 0) == (on_line, not on_line), name
