@@ -94,6 +94,11 @@ def _parse_point_um(spec: str) -> tuple[float, float, float]:
         raise ConfigError(f"--seed-point: {exc}") from exc
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
+
+
 def _read_csv_columns(path: str, columns: list[str]) -> list[np.ndarray]:
     """Two-column numeric CSV with a header row; '#' lines are comments."""
     rows = []
@@ -129,6 +134,7 @@ def _read_csv_columns(path: str, columns: list[str]) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _cmd_field_map(ns) -> int:
+    _check_threads(ns.threads)
     layout, currents, _, label = _load_config(ns.config)
     model = BiotSavartModel(layout, ns.n_width, ns.n_thickness)
     grid = GridSpec.from_ranges(
@@ -183,6 +189,13 @@ def _cmd_split_scan(ns) -> int:
     layout, currents, species, label = _load_config(ns.config)
     if not currents.rf:
         raise ConfigError("config has no rf channels; split-scan needs an rf section")
+    if ns.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {ns.steps}")
+    for name, value in (("--amp-min-mA", ns.amp_min_ma), ("--amp-max-mA", ns.amp_max_ma)):
+        if not 0.0 <= value < np.inf:
+            raise ConfigError(f"{name} must be finite and >= 0, got {value:g}")
+    if ns.amp_min_ma > ns.amp_max_ma:
+        raise ConfigError(f"--amp-min-mA {ns.amp_min_ma:g} exceeds --amp-max-mA {ns.amp_max_ma:g}")
     model = BiotSavartModel(layout, ns.n_width, ns.n_thickness)
     drive = RfDriveState.from_current_config(currents)
     amplitudes = np.linspace(ns.amp_min_ma * 1e-3, ns.amp_max_ma * 1e-3, ns.steps)
@@ -393,6 +406,7 @@ def _cmd_phase_stats(ns) -> int:
 
 
 def _cmd_reproduce_paper(ns) -> int:
+    _check_threads(ns.threads)
     rows = run_all_checks(ns.seed, threads=ns.threads)
     manifest = RunManifest.create("reproduce-paper", seed=ns.seed)
     out_dir = Path(ns.out)

@@ -32,12 +32,35 @@ Points on a line along a coordinate axis share two of their coordinates,
 so a node's or segment's values in those two are the same for every point.
 A field-only piece of at least _LINE_MIN_POINTS such points, chosen from
 the points' bits alone, goes to a line path that computes those values
-once per node or segment as columns and only the rest per point: a block
-on a z line then makes about 31 passes over (nodes or segments x points)
-planes instead of about 48.  The roughness profile and the split-scan
-slice are such lines.  The line path applies the same operations to the
-same operands in the orders above, so a point's bits do not depend on the
-path it takes.
+once per node or segment as columns and only the rest per point.  The
+roughness profile and the split-scan slice are such lines.  The line path
+applies the same operations to the same operands in the orders above, so a
+point's bits do not depend on the path it takes.
+
+Every wire on an atom chip lies in the chip plane and every filament keeps
+one y, so the segment vectors d of a block usually all have d_y == 0; the
+table marks such blocks planar (_SegmentTable.planar).  A planar block
+leaves out every product with d_y: the a_y * d_y term of both d.a sums, the
+a_z * d_y part of f_x (so f_x = a_y * d_z) and the a_x * d_y part of f_z (so
+f_z = -(a_y * d_x)), and in the Jacobian d_y * (1/|a2| - 1/|a1|) in the
+gradient of the sine and the d_y * f parts of d x f.  A sum keeps its other
+products; a difference that loses its first product negates the second or
+subtracts it from +0.  A block on a z line then makes about 25 passes over
+(nodes or segments x points) planes instead of about 31.  Blocks with a
+d_y != 0 take every product.
+
+This changes no bit of B or J.  For finite inputs a left-out product is
++0 or -0, and adding +-0 to a value (x - y is x + (-y)), or starting from
++0 instead of +-0, changes at most the sign of a zero result.  So only the
+sign of a zero d.a, f component, sine, coefficient or term can differ, and
+a product, quotient or sum with such a zero again differs in a zero's sign
+only.  |a|^2, |f|^2 = s2 and with it the online mask are sums of squares,
+so they keep their bits.  Every per-point sum starts at +0, and a sum that
+starts at +0 never becomes -0 under round-to-nearest, so adding +-0 leaves
+it as it is: B and J keep every bit.  Where a point sits on a node, a
+left-out Jacobian product would be 0 * inf; the point lies on the segment's
+line there, and the online mask zeroes that segment's term in both
+arithmetics.
 """
 
 from __future__ import annotations
@@ -62,18 +85,26 @@ DEFAULT_N_THICKNESS = 3
 # how points are chunked, so results do not either; the chunk only bounds
 # memory and is the unit handed to workers.
 _CHUNK = 1024
-_SEGMENT_BLOCK = 256  # segments per kernel block
+# segments per kernel block.  At 128 the 161-point roughness profile is one
+# line piece (_LINE_POINT_SEGMENTS); at 256 it needs a 2**16 piece, whose
+# 2.3 MB of planes spill out of a 2 MB L2 cache (timings below)
+_SEGMENT_BLOCK = 128
 # points x segments per kernel block; a block holds 21 (long runs) to 30
 # (single segments) doubles per point-segment, at most 1.9 MB at this size,
 # which fits a 2 MB L2 cache (at 2**14 a 1201-point slice of the builtin
 # chip took ~1.5x longer)
 _KERNEL_POINT_SEGMENTS = 2**13
 # points x segments per piece of an axis line (_line_piece_field): its
-# blocks hold ~7 doubles per point-segment, 0.9 MB at this size, less than
-# the stacked path's pieces.  A 161-point z line on the 28,800-segment
-# roughness model took 112-116 ms at 2**14, 141-144 ms at 2**13 and
-# 108-116 ms at 2**15 (best of 6, 2-core x86_64 host)
-_LINE_POINT_SEGMENTS = 2**14
+# blocks hold ~7 doubles per point-segment, 1.2 MB for the 161-point
+# roughness profile.  That profile on the two meandered (triangle and
+# random) 28,800-segment roughness models took per model, median of 15
+# rounds on a 2-core x86_64 host, numpy 2.4.6: 90-92 ms at 128-segment blocks
+# and 2**15 or 2**16, 107 ms at 2**14 (two pieces); 93 ms at 256-segment
+# blocks and 2**16, 102-104 ms at 2**14 or 2**15.  The 1201-point
+# split-scan slice with every builtin unit field took 9.7 ms at 2**15,
+# 10.1 ms at 2**16 and 10.5 ms at 2**14 (three, two and six pieces per
+# 72-segment channel)
+_LINE_POINT_SEGMENTS = 2**15
 # the fewest points a piece takes to an axis line.  Against the stacked path
 # on the 72-segment z2 channel (same host, best of 600 calls), an x or z
 # line took +6 to +8% at 16 points, -1 to +1% at 24, -7 to -8% at 32 and
@@ -108,9 +139,8 @@ class _SegmentTable(NamedTuple):
 
     nodes: np.ndarray  # (5, M): the blocks' nodes as (x, y, z, x, y)
     blocks: np.ndarray  # (B, 4): first segment, first node, runs, run length
-    d_xzy: np.ndarray  # (3, S): segment vector / squared length, as (x, z, y)
-    d_zxy: np.ndarray  # (3, S): the same as (z, x, y)
-    d_yzx: np.ndarray  # (3, S): the same as (y, z, x)
+    planar: np.ndarray  # (B,): whether every segment of the block has d_y == 0
+    d: np.ndarray  # (5, S): segment vector / squared length, as (x, y, z, x, y)
     scale: np.ndarray  # (S, 1): 1e-7 * current fraction; 1e-7 == mu_0 / 4 pi
 
     @classmethod
@@ -147,7 +177,8 @@ class _SegmentTable(NamedTuple):
         return cls(
             nodes=np.ascontiguousarray(nodes[:, _AXES].T),
             blocks=np.array(blocks),
-            d_xzy=d[[0, 2, 1]], d_zxy=d[[2, 0, 1]], d_yzx=d[[1, 2, 0]],
+            planar=~np.logical_or.reduceat(d[1] != 0, [lo for lo, *_ in blocks]),
+            d=d[_AXES],
             scale=np.full((len(seg), 1), 1e-7 * fraction),
         )
 
@@ -186,9 +217,10 @@ def _segment_field(points: np.ndarray, table: _SegmentTable,
     _piece_field.  Both make the module docstring's roundings, so the path
     a point takes does not show in its bits.
     """
-    blocks = table.blocks.tolist()
-    block = max(runs * length for *_, runs, length in blocks)
-    block_nodes = max(runs * (length + 1) for *_, runs, length in blocks)
+    # ([first segment, first node, runs, run length], planar) per block
+    blocks = list(zip(table.blocks.tolist(), table.planar.tolist()))
+    block = max(runs * length for (_, _, runs, length), _ in blocks)
+    block_nodes = max(runs * (length + 1) for (_, _, runs, length), _ in blocks)
     rows = max(1, _KERNEL_POINT_SEGMENTS // block)
     line_rows = max(1, _LINE_POINT_SEGMENTS // block)
     out = np.empty((len(points), 12 if jacobian else 3))
@@ -221,15 +253,24 @@ def _line_axis(points: np.ndarray) -> int | None:
     return int(np.argmin(shared))
 
 
-def _mul(x: np.ndarray, y: np.ndarray, free) -> np.ndarray:
+def _mul(x: np.ndarray | None, y: np.ndarray | None, free) -> np.ndarray | None:
     """x * y: into the next of the ``free`` planes where x or y is a whole
-    (rows x points) plane, a new (rows, 1) column where both are columns."""
+    (rows x points) plane, a new (rows, 1) column where both are columns.
+    None, a product left out, where x or y is None: a planar block's d_y."""
+    if x is None or y is None:
+        return None
     return np.multiply(x, y, out=next(free)) if max(x.shape[1], y.shape[1]) > 1 else x * y
 
 
-def _acc(ufunc: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """ufunc(x, y) written over x, or else y, where that is a whole plane; a
-    new column where both are columns."""
+def _acc(ufunc: np.ufunc, x: np.ndarray | None, y: np.ndarray | None) -> np.ndarray:
+    """ufunc (np.add or np.subtract) of x and y, written over x, or else y,
+    where that is a whole plane; a new column where both are columns.  A
+    None operand is a product left out (_mul): x + None and x - None are x,
+    None + y is y and None - y is -y."""
+    if y is None:
+        return x
+    if x is None:
+        return y if ufunc is np.add else np.negative(y, out=y if y.shape[1] > 1 else None)
     out = x if x.shape[1] > 1 else y if y.shape[1] > 1 else None
     return ufunc(x, y, out=out)
 
@@ -240,11 +281,13 @@ def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, bl
     coordinates but ``axis``: _piece_field's result, bit for bit.
 
     The shared coordinates give each node and segment one value, so their
-    node differences, products and the ``axis`` component of f = a1 x d are
-    (rows, 1) columns, and only the rest are (rows x points) planes.  Every
-    value is made by the same operation on the same operands, in the order
-    the module docstring gives, as in _piece_field; broadcasting spreads a
-    column over the points without changing a bit.
+    node differences, products and the components of f = a1 x d that do not
+    involve the ``axis`` coordinate are (rows, 1) columns, and only the rest
+    are (rows x points) planes.  Every value is made by the same operation
+    on the same operands, in the order the module docstring gives, as in
+    _piece_field; broadcasting spreads a column over the points without
+    changing a bit.  A planar block leaves out its d_y products (module
+    docstring): its d_y is None, which _mul and _acc pass through.
 
     The result is a view of this thread's workspace (_buffers), valid until
     the thread's next call.
@@ -261,7 +304,7 @@ def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, bl
                                          (block + 1, 3, n))
     spare = terms[1:].reshape(3, block, n)[0]
     terms[0] = 0.0
-    for lo, node, runs, length in blocks:
+    for (lo, node, runs, length), planar in blocks:
         b = runs * length
         m = b + runs
         hi = lo + b
@@ -272,15 +315,16 @@ def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, bl
         # a at the segments' starts and ends: the block's first b nodes and
         # the b from node ``runs`` on (_SegmentTable)
         ends = [[x[e * runs:e * runs + b] for x in a] for e in (0, 1)]
-        dx, dz, dy = table.d_xzy[:, lo:hi, None]
+        dx, dy, dz = table.d[:3, lo:hi, None]
+        d = (dx, None if planar else dy, dz)
         for (ax, ay, az), dot, norm in zip(ends, dots[:, :b], (r[:b], r[runs:runs + b])):
+            # d.a is a column where a planar block's segments cross a y line
             free = repeat(dot)
-            dot = _acc(np.add, _acc(np.add, _mul(ax, dx, free), _mul(az, dz, free)),
-                       _mul(ay, dy, free))
-            dot /= norm
+            np.divide(_acc(np.add, _acc(np.add, _mul(ax, dx, free), _mul(az, dz, free)),
+                           _mul(ay, d[1], free)), norm, out=dot)
         sine = np.subtract(dots[1, :b], dots[0, :b], out=dots[1, :b])
         # f = a1 x d, then f * f
-        a1, d = ends[0], (dx, dy, dz)
+        a1 = ends[0]
         free = iter((r_buf[:b], dots[0, :b]))
         f = [_acc(np.subtract, _mul(a1[u], d[v], free), _mul(a1[v], d[u], free))
              for u, v in ((1, 2), (2, 0), (0, 1))]
@@ -312,7 +356,11 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
 
     A block computes a = point - node, |a|^2 and |a| once per node; its
     segments read a1 = a at their start and a2 = a at their end, and |a1|
-    and |a2|, as views of those node planes (_SegmentTable).
+    and |a2|, as views of those node planes (_SegmentTable).  Vectors go as
+    (x, y, z, x, y), so the rows a product takes are a slice: every second
+    row from x for d.a as (x, z, y), three consecutive rows for each product
+    of a cross product.  A planar block leaves out its d_y products (module
+    docstring) by slicing off the y row.
 
     With ``jacobian`` the result is (12, N): the field, then the closed-form
     dB_i/dx_j of each segment term coeff * f (f = a1 x d), summed the same
@@ -322,23 +370,30 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
     The result is a view of this thread's workspace (_buffers), valid until
     the thread's next call.
     """
-    p = np.ascontiguousarray(points[:, _AXES].T)[:, None]
+    p = points.T[_AXES][:, None]
     n = p.shape[-1]
+    d = table.d
     # per node: a as (x, y, z, x, y), |a|, and with ``jacobian`` 1 / |a|;
-    # terms: the running sum, then one row per segment, and jterms the same
-    # for f (x) grad(coeff) as 9 rows, then coeff * d as 3 rows; g_buf holds
-    # the Jacobian's per-segment quantities
+    # f as (x, y, z), and with ``jacobian`` (x, y, z, x, y); terms: the
+    # running sum, then one row per segment, and jterms the same for
+    # f (x) grad(coeff) as 9 rows, then coeff * d as 3 rows; g_buf holds the
+    # Jacobian's per-segment quantities
     a_buf, r_buf, f_buf, terms, jterms, g_buf = _buffers(
         (7 if jacobian else 6, block_nodes, n), (3, block_nodes + 2 * block, n),
-        (3, block, n), (block + 1, 3, n), *(((block + 1, 12, n), (9, block, n))
-                                            if jacobian else ((0,), (0,))))
+        (5 if jacobian else 3, block, n), (block + 1, 3, n),
+        *(((block + 1, 12, n), (9, block, n)) if jacobian else ((0,), (0,))))
     terms[0] = 0.0
     if jacobian:
         jterms[0] = 0.0
-    for lo, node, runs, length in blocks:
+    for (lo, node, runs, length), planar in blocks:
         b = runs * length
         m = b + runs
         hi = lo + b
+        # d.a takes d's rows as (x, z, y), and each product of a cross
+        # product three consecutive rows with y first or last: a planar
+        # block takes the k = 2 of them without y
+        k = 2 if planar else 3
+        xzy = slice(0, 2 * k - 1, 2)
         a = np.subtract(p, table.nodes[:, node:node + m, None], out=a_buf[:5, :m])
         # each node quantity at the segments' starts, then at their ends
         step = a_buf.strides[1]
@@ -349,31 +404,38 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
         # (x, z, y) per segment
         r = r_buf[:, :m + 2 * b]
         np.multiply(a[:3], a[:3], out=r[:, :m])
-        np.multiply(at_ends[:5:2], table.d_xzy[:, None, lo:hi, None],
-                    out=r[:, m:].reshape(3, 2, b, n))
+        np.multiply(at_ends[xzy], d[xzy, None, lo:hi, None], out=r[:k, m:].reshape(k, 2, b, n))
         sums = np.add(r[0], r[1], out=r[0])
-        sums += r[2]  # |a|^2 per node, then d.a1 and d.a2 per segment
+        y = m if planar else m + 2 * b
+        sums[:y] += r[2, :y]  # |a|^2 per node, then d.a1 and d.a2 per segment
         np.sqrt(sums[:m], out=a_buf[5, :m])
         dots = sums[m:].reshape(2, b, n)
         dots /= at_ends[5]
         if jacobian:
-            d = table.d_xzy[[0, 2, 1], lo:hi, None]
             np.divide(1.0, a_buf[5, :m], out=a_buf[6, :m])
             inv = at_ends[6]
             g = g_buf[:, :b]
             # along = dots * inv * inv in rows 0-1, then grad_sine =
-            # d * (inv[1] - inv[0]) - along[1] * a2 + along[0] * a1 in rows 3-5
+            # d * (inv[1] - inv[0]) - along[1] * a2 + along[0] * a1 in rows
+            # 3-5, whose y row starts from +0 where there is no d_y
             along = np.multiply(dots, inv, out=g[:2])
             along *= inv
-            grad_sine = np.multiply(d, np.subtract(inv[1], inv[0], out=g[2]), out=g[3:6])
+            grad_sine = g[3:6]
+            grad_sine[1] = 0.0
+            xyz = slice(0, 3, 2 if planar else 1)
+            np.multiply(d[xyz, lo:hi, None], np.subtract(inv[1], inv[0], out=g[2]),
+                        out=grad_sine[xyz])
             grad_sine -= np.multiply(along[1], a2[:3], out=g[6:9])
             grad_sine += np.multiply(along[0], a1[:3], out=g[6:9])
         sine = np.subtract(dots[1], dots[0], out=dots[1])
-        # f = a1 x d
-        f = f_buf[:, :b]
+        # f = a1 x d = (a_y d_z, a_z d_x, a_x d_y) - (a_z d_y, a_x d_z, a_y d_x):
+        # without d_y the first product keeps its first two rows, f_z starts
+        # from +0, and the second product keeps its last two rows
+        f = f_buf[:3, :b]
         scratch = r_buf[1, :3 * b].reshape(3, b, n)  # free once the products are summed
-        np.multiply(a1[1:4], table.d_zxy[:, lo:hi, None], out=f)
-        f -= np.multiply(a1[2:5], table.d_yzx[:, lo:hi, None], out=scratch)
+        np.multiply(a1[1:1 + k], d[2:2 + k, lo:hi, None], out=f[:k])
+        f[k:] = 0.0
+        f[3 - k:] -= np.multiply(a1[5 - k:5], d[4 - k:4, lo:hi, None], out=scratch[3 - k:])
         ff = np.multiply(f, f, out=scratch)
         s2 = np.add(ff[0], ff[2], out=ff[0])
         s2 += ff[1]
@@ -394,16 +456,18 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
         terms[0] = np.add.reduce(terms[:b + 1], axis=0)
         if jacobian:
             grad_coeff = np.multiply(table.scale[lo:hi], grad_sine, out=grad_sine)
-            # grad_coeff -= 2 coeff (d x f), the cross product in rows 6-8
-            # with np.cross's products and roundings
-            cross, tmp = g[6:9], g[0]
-            np.multiply(d[1], f[2], out=cross[0])
-            cross[0] -= np.multiply(d[2], f[1], out=tmp)
-            np.multiply(d[2], f[0], out=cross[1])
-            cross[1] -= np.multiply(d[0], f[2], out=tmp)
-            np.multiply(d[0], f[1], out=cross[2])
-            cross[2] -= np.multiply(d[1], f[0], out=tmp)
-            cross *= np.multiply(2.0, coeff, out=g[1])
+            # grad_coeff -= 2 coeff (d x f) with np.cross's products and
+            # roundings: d x f = (d_y f_z, d_z f_x, d_x f_y) - (d_z f_y, d_x f_z,
+            # d_y f_x), in rows 6-8; without d_y the first product keeps its
+            # last two rows, the x row starts from +0, and the second product
+            # keeps its first two rows
+            f5 = f_buf[:, :b]
+            f5[3:] = f5[:2]
+            cross = g[6:9]
+            np.multiply(d[4 - k:4, lo:hi, None], f5[5 - k:5], out=cross[3 - k:])
+            cross[:3 - k] = 0.0
+            cross[:k] -= np.multiply(d[2:2 + k, lo:hi, None], f5[1:1 + k], out=g[:k])
+            cross *= np.multiply(2.0, coeff, out=g[0])
             grad_coeff -= cross
             grad_coeff /= s2
             if any_online:
@@ -412,7 +476,7 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
             np.multiply(f.reshape(3, 1, length, runs, n),
                         grad_coeff.reshape(1, 3, length, runs, n),
                         out=seg_terms[:9].reshape(3, 3, length, runs, n))
-            np.multiply(coeff.reshape(length, runs, n), d.reshape(3, length, runs, 1),
+            np.multiply(coeff.reshape(length, runs, n), d[:3, lo:hi].reshape(3, length, runs, 1),
                         out=seg_terms[9:])
             jterms[0] = np.add.reduce(jterms[:b + 1], axis=0)
     if not jacobian:

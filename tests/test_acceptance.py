@@ -7,8 +7,11 @@ matrix, forward models for the inversions, and seeded Monte-Carlo.
 """
 
 import filecmp
+import hashlib
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,11 @@ from atomchip.thermal import (
     steady_temperature,
 )
 from atomchip.trap import find_trap_minimum, magnetic_potential
+
+
+# sha256 of outputs no float.hex golden covers, recorded before the kernel
+# left out the d_y products of planar blocks
+README_OUTPUTS_SHA256 = Path(__file__).parent / "data" / "readme_outputs_sha256.json"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -270,12 +278,24 @@ def test_c8_phase_extraction(species):
            f"{elapsed:.1f} s < 30 s")
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_c9_reproduce_paper_deterministic(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
+    a, b, fm = tmp_path / "a", tmp_path / "b", tmp_path / "fm"
     assert run(["reproduce-paper", "--seed", "1", "--out", str(a)]) == 0
     assert run(["reproduce-paper", "--seed", "1", "--out", str(b)]) == 0
     same_csv = filecmp.cmp(a / "summary.csv", b / "summary.csv", shallow=False)
     same_md = filecmp.cmp(a / "summary.md", b / "summary.md", shallow=False)
-    ok = same_csv and same_md
+    # the README field-map command line; the CI workflow checks both
+    # files against the same sha256
+    assert run(["field-map", "--x=-500:500:101", "--y=30:1030:101", "--z=0:0:1",
+                "--out", str(fm)]) == 0
+    pins = json.loads(README_OUTPUTS_SHA256.read_text())
+    same_summary = _sha256(a / "summary.csv") == pins["reproduce_paper_summary_csv"]
+    same_map = _sha256(fm / "field_map.csv") == pins["field_map_csv"]
+    ok = same_csv and same_md and same_summary and same_map
     report(9, ok, "reproduce-paper --seed 1 twice -> byte-identical summary.csv "
-                  "and summary.md")
+                  f"and summary.md; summary.csv sha256 pinned: {same_summary}; "
+                  f"README field-map CSV sha256 pinned: {same_map}")

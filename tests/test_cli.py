@@ -242,6 +242,32 @@ def test_split_scan_bad_slice_is_an_error(tmp_path, capsys, option, message):
     assert not (tmp_path / "split_scan.csv").exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--steps", "0"], "--steps must be >= 1, got 0"),
+    (["--steps", "-2"], "--steps must be >= 1, got -2"),
+    (["--amp-min-mA", "10", "--amp-max-mA", "5"], "--amp-min-mA 10 exceeds --amp-max-mA 5"),
+    (["--amp-min-mA", "-5"], "--amp-min-mA must be finite and >= 0, got -5"),
+    (["--amp-max-mA", "inf"], "--amp-max-mA must be finite and >= 0, got inf"),
+    (["--amp-min-mA", "nan"], "--amp-min-mA must be finite and >= 0, got nan"),
+])
+def test_split_scan_bad_ramp_is_an_error(tmp_path, capsys, options, message):
+    with np.errstate(all="raise"):  # a numpy warning on the way would raise here
+        code = run(["split-scan", "--config", str(CONFIGS / "paper_split_scan.json"), *options,
+                    "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "split_scan.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["field-map", "--threads", "0"],
+                                  ["field-map", "--threads", "-3"],
+                                  ["reproduce-paper", "--seed", "1", "--threads", "0"]])
+def test_threads_below_one_is_an_error(tmp_path, capsys, args):
+    assert run(args + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: --threads must be >= 1, got {args[-1]}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("option, message", [
     ("--points=0", "--points must be >= 1, got 0"),
     ("--points=-3", "--points must be >= 1, got -3"),

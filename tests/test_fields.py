@@ -18,7 +18,9 @@ from atomchip.geometry import (
 )
 from atomchip.reproduction import roughness_test_wire, thin_wire_layout
 from atomchip.rf import _slice_points
-from atomchip.roughness import RandomDeviation, TriangleDeviation, perturb_wire, roughness_field
+from atomchip.roughness import (
+    RandomDeviation, SinusoidDeviation, TriangleDeviation, perturb_wire, roughness_field,
+)
 from atomchip.trap import _DEPTH_DIRECTIONS, _DEPTH_HALFWIDTH, magnetic_potential
 
 
@@ -347,9 +349,7 @@ def test_segment_table_equal_to_index_built_layout(paper_model, case):
         seg = ends - starts
         d = (seg / np.einsum("ij,ij->i", seg, seg)[:, None]).T[:, order]
         assert np.array_equal(table.nodes, nodes[:, [0, 1, 2, 0, 1]].T)
-        assert np.array_equal(table.d_xzy, d[[0, 2, 1]])
-        assert np.array_equal(table.d_zxy, d[[2, 0, 1]])
-        assert np.array_equal(table.d_yzx, d[[1, 2, 0]])
+        assert np.array_equal(table.d, d[[0, 1, 2, 0, 1]])
 
 
 def test_kernel_blocks_match_one_unchunked_call():
@@ -411,7 +411,8 @@ def _random_runs(rng, lengths):
     return np.concatenate(starts), np.concatenate(ends)
 
 
-# blocks as [first segment, first node, runs, run length]
+# blocks as [first segment, first node, runs, run length] at 256-segment
+# blocks
 _RUN_CASES = {
     # three runs longer than a block: every run is cut inside
     "3x300": ([300] * 3, [[0, 0, 1, 256], [256, 257, 1, 44], [300, 302, 1, 256],
@@ -426,7 +427,8 @@ _RUN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_RUN_CASES))
-def test_kernel_runs_bitwise_equal_to_einsum_reference(case):
+def test_kernel_runs_bitwise_equal_to_einsum_reference(case, monkeypatch):
+    monkeypatch.setattr(fields, "_SEGMENT_BLOCK", 256)
     lengths, blocks = _RUN_CASES[case]
     rng = np.random.default_rng(len(lengths))
     starts, ends = _random_runs(rng, lengths)
@@ -437,14 +439,20 @@ def test_kernel_runs_bitwise_equal_to_einsum_reference(case):
     assert _segment_field(points, table).tobytes() == expected.tobytes()
 
 
-def _kernel_paths(monkeypatch) -> dict[str, int]:
-    """Points that each kernel path takes from here on, counted by piece;
-    install once per test and zero the counts between calls."""
+def _kernel_paths(monkeypatch, arithmetic=None) -> dict[str, int]:
+    """Points that each kernel path takes from here on, counted by piece,
+    and in ``arithmetic``, if given, the point-blocks that take the planar
+    and the full arithmetic; install once per test and zero the counts
+    between calls."""
     counts = {"line": 0, "stacked": 0}
     for name, path in (("_line_piece_field", "line"), ("_piece_field", "stacked")):
-        def counted(points, *rest, _kernel=getattr(fields, name), _path=path):
+        def counted(points, table, blocks, *rest, _kernel=getattr(fields, name), _path=path):
             counts[_path] += len(points)
-            return _kernel(points, *rest)
+            if arithmetic is not None:
+                planar = sum(flag for _, flag in blocks)
+                arithmetic["planar"] += len(points) * planar
+                arithmetic["full"] += len(points) * (len(blocks) - planar)
+            return _kernel(points, table, blocks, *rest)
         monkeypatch.setattr(fields, name, counted)
     return counts
 
@@ -518,7 +526,8 @@ def test_kernel_on_the_roughness_profile_bitwise_equal_to_einsum_reference(monke
 
 def test_kernel_path_chosen_from_the_points(paper_model, paper, species, monkeypatch):
     # the roughness profile and the split-scan slice lie on axis lines; the
-    # trap search's stencils, single points and first depth round do not
+    # trap search's stencils, single points and first depth round do not.
+    # All of them take the planar arithmetic
     currents = paper[1]
     pdef = magnetic_potential(paper_model, currents, species)
     x0 = np.array([-42.5e-6, 150e-6, 0.0])
@@ -532,12 +541,120 @@ def test_kernel_path_chosen_from_the_points(paper_model, paper, species, monkeyp
         "1 point": lambda: pdef.energy(x0),
         "first depth round": lambda: pdef.energy_batch(x0 + _DEPTH_HALFWIDTH * _DEPTH_DIRECTIONS),
     }
-    counts = _kernel_paths(monkeypatch)
+    arithmetic = {"planar": 0, "full": 0}
+    counts = _kernel_paths(monkeypatch, arithmetic)
     for name, call in calls.items():
         counts.update(line=0, stacked=0)
+        arithmetic.update(planar=0, full=0)
         call()
         on_line = name in ("roughness profile", "split-scan slice")
         assert (counts["line"] > 0, counts["stacked"] > 0) == (on_line, not on_line), name
+        # every wire lies in the chip plane
+        assert arithmetic["planar"] > 0 and arithmetic["full"] == 0, name
+
+
+def _flat_runs(rng, lengths):
+    """_random_runs with one y per run: in the chip's planes, as every wire
+    of an atom chip is, so each segment's d_y is +0."""
+    starts, ends = _random_runs(rng, lengths)
+    for lo, hi in zip(np.cumsum([0] + lengths[:-1]), np.cumsum(lengths)):
+        starts[lo:hi, 1] = ends[lo:hi, 1] = starts[lo, 1]
+    return starts, ends
+
+
+def test_chip_wires_have_planar_segment_tables(paper_model):
+    # every filament of a chip wire keeps one y, so every block of every
+    # builtin channel and of the roughness test wire, straight or meandered,
+    # is planar; each segment of the tilted wire climbs or falls
+    models = [paper_model, BiotSavartModel(_TILTED)]
+    models += [_roughness_model(dev) for dev in (None, _BENT, TriangleDeviation(20e-9, 8e-4),
+                                                 SinusoidDeviation(50e-9, 2e-4))]
+    for model in models:
+        for channel, table in model._channels.items():
+            assert len(table.planar) == len(table.blocks), channel
+            assert table.planar.all() == (channel != "t"), channel
+            assert table.planar.any() == (channel != "t"), channel
+    # a block is planar where each of its segments starts and ends at one
+    # y: flat runs with a tilted one in between, and blocks of several runs
+    rng = np.random.default_rng(3)
+    flat, tilted = _flat_runs(rng, [60] * 4), _random_runs(rng, [60])
+    starts, ends = (np.concatenate([flat[i][:120], tilted[i], flat[i][120:]]) for i in (0, 1))
+    table = _SegmentTable.build(starts, ends, 0.25)
+    expected = [bool(np.all(starts[lo:lo + runs * length, 1] == ends[lo:lo + runs * length, 1]))
+                for lo, _, runs, length in table.blocks.tolist()]
+    assert table.planar.tolist() == expected
+    assert True in expected and False in expected and max(table.blocks[:, 2]) > 1
+
+
+def _planar_point_sets(layout, wire, rng):
+    """Named point sets above and in the plane of ``layout``'s wires for
+    field-only calls, and centres for 7-point Jacobian stencils: a seeded
+    cloud with a segment end and a point on that segment's line
+    (_kernel_points), x, y and z lines, x and z lines at a filament's own y
+    (a_y = 0 for its nodes) that cross its segments, and a line along a
+    filament's axis-parallel segment through its nodes (every point on the
+    segment's line, masked)."""
+    fils = discretize_wire(wire, 8, 3)
+    fil = fils[len(fils) // 2]
+    cloud = _kernel_points(layout, rng, 40)
+    sets = {"cloud": cloud}
+    for axis in range(3):
+        points = np.repeat(cloud[:1], 100, axis=0)
+        points[:, axis] = (np.linspace(-1e-3, 1e-3, 100) if axis != 1
+                           else np.linspace(2e-6, 4e-4, 100))
+        sets[f"{'xyz'[axis]} line"] = points
+        if axis != 1:
+            at_y = points.copy()
+            at_y[:, 1] = fil[0, 1]
+            at_y[:, 2 - axis] = fil[len(fil) // 2, 2 - axis]
+            sets[f"{'xyz'[axis]} line at a filament's y"] = at_y
+    parallel = [k for k in range(len(fil) - 1) if np.count_nonzero(fil[k + 1] == fil[k]) == 2]
+    if parallel:
+        k = parallel[0]
+        axis = int(np.argmax(fil[k + 1] != fil[k]))
+        points = np.repeat(fil[k:k + 1], 100, axis=0)
+        points[:, axis] = np.linspace(fil[k, axis] - 1e-4, fil[k + 1, axis], 100)
+        sets["on a filament's line"] = points
+    centres = np.concatenate([cloud[:3], sets["x line at a filament's y"][::33]])
+    return sets, centres
+
+
+def test_planar_arithmetic_bitwise_equal_to_the_full_one(paper, monkeypatch):
+    # a planar table with its flag cleared takes every d_y product; the
+    # bits must not change (the module docstring's signed-zero argument)
+    rng = np.random.default_rng(24)
+    layout = paper[0]
+    tables = [(layout, next(w for w in layout.wires if w.channel == c),
+               _SegmentTable.build(*_channel_segments(layout, c)[:2], 1.0 / 24))
+              for c in layout.channels]
+    flat = _flat_runs(rng, _RUN_CASES["mixed"][0])
+    tables.append((layout, layout.wires[0], _SegmentTable.build(*flat, 0.25)))
+    bent = _roughness_model(_BENT)
+    tables.append((bent.layout, bent.layout.wires[0], bent._channels["w"]))
+    stencil = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)]) * 1e-6
+    arithmetic = {"planar": 0, "full": 0}
+    counts = _kernel_paths(monkeypatch, arithmetic)
+    names = set()
+    for layout_, wire, table in tables:
+        assert table.planar.all()
+        cleared = table._replace(planar=np.zeros_like(table.planar))
+        sets, centres = _planar_point_sets(layout_, wire, rng)
+        if len(table.d[0]) > 1000:  # the 28,800-segment model: the cloud and the z line
+            sets = {name: sets[name] for name in ("cloud", "z line")}
+        calls = [(name, points, False) for name, points in sets.items()]
+        calls += [("stencil", centre + stencil, True) for centre in centres]
+        for name, points, jacobian in calls:
+            names.add(name)
+            got = []
+            for t in (table, cleared):
+                arithmetic.update(planar=0, full=0)
+                with np.errstate(divide="ignore", invalid="ignore"):  # at a node, masked
+                    field = _segment_field(points, t, jacobian)
+                got.append([v.hex() for v in field.ravel().tolist()])
+                assert arithmetic[("planar", "full")[t is cleared]] > 0, name
+            assert got[0] == got[1], (len(table.d[0]), name)
+    assert counts["line"] > 0 and counts["stacked"] > 0
+    assert len(names) == 8
 
 
 def test_kernel_field_and_jacobian_independent_of_block_size(monkeypatch):
