@@ -37,6 +37,14 @@ roughness profile and the split-scan slice are such lines.  The line path
 applies the same operations to the same operands in the orders above, so a
 point's bits do not depend on the path it takes.
 
+The line path forms and sums only the field rows its caller keeps: the
+roughness profile keeps B_z alone of its meandered wire
+(BiotSavartModel._field_z).  f, |f|^2 and the coefficient still take all
+three components, and each row is its own sum in the order above, so B_z
+keeps every bit.  The sum runs over a view of the kept rows whose inner
+axis is the points (numpy would sum a single point's view pairwise, and a
+line piece has at least _LINE_MIN_POINTS of them).
+
 Every wire on an atom chip lies in the chip plane and every filament keeps
 one y, so the segment vectors d of a block usually all have d_y == 0; the
 table marks such blocks planar (_SegmentTable.planar).  A planar block
@@ -96,14 +104,14 @@ _SEGMENT_BLOCK = 128
 _KERNEL_POINT_SEGMENTS = 2**13
 # points x segments per piece of an axis line (_line_piece_field): its
 # blocks hold ~7 doubles per point-segment, 1.2 MB for the 161-point
-# roughness profile.  That profile on the two meandered (triangle and
-# random) 28,800-segment roughness models took per model, median of 15
-# rounds on a 2-core x86_64 host, numpy 2.4.6: 90-92 ms at 128-segment blocks
-# and 2**15 or 2**16, 107 ms at 2**14 (two pieces); 93 ms at 256-segment
-# blocks and 2**16, 102-104 ms at 2**14 or 2**15.  The 1201-point
-# split-scan slice with every builtin unit field took 9.7 ms at 2**15,
-# 10.1 ms at 2**16 and 10.5 ms at 2**14 (three, two and six pieces per
-# 72-segment channel)
+# roughness profile.  That profile's B_z alone on the two meandered (triangle
+# and random) 28,800-segment roughness models took per model, median of 15
+# rounds on a 2-core x86_64 host, numpy 2.4.6: 64-68 ms at 128-segment
+# blocks and 2**15 or 2**16, 77-79 ms at 2**14 (two pieces); 64-71 ms at
+# 256-segment blocks and 2**15 or 2**16, 75-78 ms at 2**14 (all three rows:
+# 75-84 ms at 128 and 2**15).  The 1201-point split-scan slice with every
+# builtin unit field took 9.7 ms at 2**15, 10.1 ms at 2**16 and 10.5 ms at
+# 2**14 (three, two and six pieces per 72-segment channel)
 _LINE_POINT_SEGMENTS = 2**15
 # the fewest points a piece takes to an axis line.  Against the stacked path
 # on the 72-segment z2 channel (same host, best of 600 calls), an x or z
@@ -113,6 +121,9 @@ _LINE_POINT_SEGMENTS = 2**15
 _LINE_MIN_POINTS = 32
 # point coordinates in the kernel's layout, see _SegmentTable.nodes
 _AXES = np.array([0, 1, 2, 0, 1])
+# field rows a line piece sums (_line_piece_field): all three, or B_z alone
+_XYZ = slice(0, 3)
+_Z = slice(2, 3)
 DOMAIN_PAD = 1e-9  # m, padding of the conductor test
 # each thread's kernel buffers, kept between calls: freed and allocated
 # again, buffers of a few 100 kB come back as fresh pages, and their page
@@ -238,6 +249,29 @@ def _segment_field(points: np.ndarray, table: _SegmentTable,
     return out
 
 
+def _segment_field_z(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
+    """(N, 1) B_z column of ``_segment_field(points, table)``, bit for bit.
+
+    Takes the points in line pieces: one that lies on an axis line
+    (_line_axis) sums its z row alone (_line_piece_field's ``rows``); any
+    other goes to _segment_field, whose z row it keeps.  A function of its
+    own, so that _segment_field, which every trap search calls, does no
+    more work per call.
+    """
+    blocks = list(zip(table.blocks.tolist(), table.planar.tolist()))
+    block = max(runs * length for (_, _, runs, length), _ in blocks)
+    block_nodes = max(runs * (length + 1) for (_, _, runs, length), _ in blocks)
+    line_rows = max(1, _LINE_POINT_SEGMENTS // block)
+    out = np.empty((len(points), 1))
+    for lo in range(0, len(points), line_rows):
+        piece = points[lo:lo + line_rows]
+        axis = _line_axis(piece)
+        out[lo:lo + line_rows] = (
+            _segment_field(piece, table)[:, 2:] if axis is None else
+            _line_piece_field(piece, table, blocks, block, block_nodes, axis, _Z).T)
+    return out
+
+
 def _line_axis(points: np.ndarray) -> int | None:
     """The axis of the line ``points`` lie on, if there are at least
     _LINE_MIN_POINTS of them and they share the other two coordinates bit
@@ -276,9 +310,10 @@ def _acc(ufunc: np.ufunc, x: np.ndarray | None, y: np.ndarray | None) -> np.ndar
 
 
 def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: int,
-                      block_nodes: int, axis: int) -> np.ndarray:
-    """(3, N) field of ``table``'s segments at N > 1 points that share all
-    coordinates but ``axis``: _piece_field's result, bit for bit.
+                      block_nodes: int, axis: int, rows: slice = _XYZ) -> np.ndarray:
+    """(k, N) field rows ``rows`` (a slice of x, y, z) of ``table``'s
+    segments at N > 1 points that share all coordinates but ``axis``: those
+    rows of _piece_field's result, bit for bit.
 
     The shared coordinates give each node and segment one value, so their
     node differences, products and the components of f = a1 x d that do not
@@ -287,7 +322,9 @@ def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, bl
     on the same operands, in the order the module docstring gives, as in
     _piece_field; broadcasting spreads a column over the points without
     changing a bit.  A planar block leaves out its d_y products (module
-    docstring): its d_y is None, which _mul and _acc pass through.
+    docstring): its d_y is None, which _mul and _acc pass through.  Only the
+    kept rows' terms are formed and summed; f and s2 take all three
+    components, as the coefficient does.
 
     The result is a view of this thread's workspace (_buffers), valid until
     the thread's next call.
@@ -339,12 +376,14 @@ def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, bl
         coeff /= s2
         if any_online:
             coeff[online] = 0.0
-        # the terms go in segment order, run by run
+        # the kept rows' terms go in segment order, run by run; a view of
+        # some rows of ``terms`` is still added row after row (_piece_field),
+        # as its points axis, of N > 1 points, is the inner one
         seg_terms = terms[1:b + 1].reshape(runs, length, 3, n).transpose(2, 1, 0, 3)
-        for fc, out in zip(f, seg_terms):
+        for fc, out in zip(f[rows], seg_terms[rows]):
             np.multiply(coeff.reshape(length, runs, n), fc.reshape(length, runs, -1), out=out)
-        terms[0] = np.add.reduce(terms[:b + 1], axis=0)
-    return terms[0]
+        terms[0, rows] = np.add.reduce(terms[:b + 1, rows], axis=0)
+    return terms[0, rows]
 
 
 def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: int,
@@ -547,6 +586,14 @@ class BiotSavartModel:
             currents, points, tuple(currents.bias) + (0.0,) * 9,
             lambda channel, pts: _segment_field(pts, self._channels[channel], jacobian=True))
         return out[:, :3], out[:, 3:].reshape(-1, 3, 3)
+
+    def _field_z(self, currents: CurrentConfig, points: np.ndarray) -> np.ndarray:
+        """(N,) B_z of ``field``, bit for bit, from each channel's z row
+        alone (_segment_field_z); the points are checked as there."""
+        B, _ = self._superpose(
+            currents, points, currents.bias[2:],
+            lambda channel, pts: _segment_field_z(pts, self._channels[channel]))
+        return B[:, 0]
 
     def _superpose(self, currents, points, bias, unit, channels=()):
         """(bias + sum over channels of I_ch * ``unit(channel, points)``, the

@@ -235,17 +235,26 @@ def fit_modulated_gaussian(x, n, min_periods: float = MIN_PERIODS_IN_FWHM) -> Fr
         c, sn = np.cos(u), np.sin(u)
         return g, c, sn, np.column_stack((g, g * c, g * sn))
 
-    def coefficients(phi):
-        return np.linalg.lstsq(phi, n, rcond=None)[0]  # (A, C, S)
+    last = {}  # the last point solved, by its bytes: its basis and coefficients
+
+    def solve(p):
+        """basis(p) and its (A, C, S) from the linear solve.  The solver asks
+        for the Jacobian at the point it has just evaluated, so the last
+        point's are kept."""
+        key = p.tobytes()
+        if key not in last:
+            parts = basis(p)
+            last.clear()
+            last[key] = parts, np.linalg.lstsq(parts[3], n, rcond=None)[0]
+        return last[key]
 
     def residual(p):
-        phi = basis(p)[3]
-        return phi @ coefficients(phi) - n
+        (*_, phi), coefficients = solve(p)
+        return phi @ coefficients - n
 
     def projected_jacobian(p):
         mu, s, lam = p
-        g, c, sn, phi = basis(p)
-        a, cc, ss = coefficients(phi)
+        (g, c, sn, phi), (a, cc, ss) = solve(p)
         h = g * (a + cc * c + ss * sn)
         d = np.column_stack((h * (x - mu) / s**2, h * (x - mu) ** 2 / s**3,
                              g * (cc * sn - ss * c) * 2.0 * np.pi * x / lam**2))
@@ -256,7 +265,7 @@ def fit_modulated_gaussian(x, n, min_periods: float = MIN_PERIODS_IN_FWHM) -> Fr
                          jac=projected_jacobian, bounds=(lower, upper), method="trf",
                          xtol=_FIT_XTOL, ftol=1e-14, gtol=1e-14, max_nfev=_FIT_MAX_NFEV)
     mu, s, lam = best.x
-    a, cc, ss = coefficients(basis(best.x)[3])
+    a, cc, ss = solve(best.x)[1]
     al = float(np.hypot(cc, ss) / a)
     ph = float(np.arctan2(-ss, cc))
 

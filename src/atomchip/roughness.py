@@ -85,8 +85,9 @@ class RandomDeviation:
     step: float = 5e-6
 
     def __post_init__(self) -> None:
-        if self.step > 5e-6 + 1e-12:
-            raise ConfigError("random deviation grid step must be <= 5 um")
+        if not 0.0 < self.step <= 5e-6 + 1e-12:
+            raise ConfigError(f"random deviation grid step must be > 0 and <= 5 um, "
+                              f"got {self.step:g} m")
         span = self.z_max - self.z_min
         # the noise grid spans the profile plus 10 correlation lengths, so at
         # most 11 spans
@@ -141,7 +142,8 @@ def perturb_wire(wire: WireSegmentPath, deviation, step: float = 5e-6) -> WireSe
 
 
 def _merge_z_runs(wire: WireSegmentPath) -> WireSegmentPath:
-    """``wire`` with its chained runs of exactly z-parallel segments merged.
+    """``wire`` with its chained runs of exactly z-parallel segments merged;
+    roughness_field merges the straight reference and the meandered wire.
 
     A segment is z-parallel when the x and y of its node difference are
     both exactly 0.  A node is straight when its segments (one at either
@@ -151,7 +153,9 @@ def _merge_z_runs(wire: WireSegmentPath) -> WireSegmentPath:
     bits.  A straight node between two straight nodes is dropped: every kept
     node keeps its miter, and every merged filament segment has d_x = d_y =
     0 exactly.  A straight wire along z becomes one segment; a run that
-    meets a bend keeps its segment at that end.
+    meets a bend keeps its segment at that end.  On a meandered wire the
+    unmeandered stretches merge: a zero-amplitude meander, straight leads,
+    and a random meander outside its noise grid.
     """
     d = np.diff(wire.nodes, axis=0)
     along_z = np.where((d[:, 0] == 0.0) & (d[:, 1] == 0.0), np.sign(d[:, 2]), 0.0)
@@ -203,7 +207,10 @@ def roughness_field(wire: WireSegmentPath, deviation, current: float, height: fl
     that meets a bend keeps its end segments.  A segment with d_x = d_y = 0
     adds an exact 0 to B_z (f_z = a_x d_y - a_y d_x), so the reference has
     the B_z bits of the resampled wire and a zero deviation gives exactly
-    zero dB_z, on a bent wire too; only its |B| rounds differently.
+    zero dB_z, on a bent wire too; only its |B| rounds differently.  The
+    meandered wire is merged the same way, so its unmeandered stretches
+    leave the kernel, and only its B_z is evaluated
+    (BiotSavartModel._field_z), with the bits of its whole field's.
 
     The evaluation line sits ``height`` above the chip surface at the
     unperturbed centerline x nearest z = 0; dV is zeeman_slope * dB_z, the
@@ -235,14 +242,13 @@ def _roughness_profiles(wire: WireSegmentPath, deviations, current: float, heigh
     bents = [perturb_wire(wire, deviation) for deviation in deviations]
     currents = CurrentConfig(dc={wire.channel: current})
 
-    def field(w: WireSegmentPath) -> np.ndarray:
-        model = BiotSavartModel(ChipLayout(wires=(w,)), n_width, n_thickness)
-        return model.field(currents, points)
+    def model(w: WireSegmentPath) -> BiotSavartModel:
+        return BiotSavartModel(ChipLayout(wires=(_merge_z_runs(w),)), n_width, n_thickness)
 
-    B_s = field(_merge_z_runs(perturb_wire(wire, None)))
+    B_s = model(perturb_wire(wire, None)).field(currents, points)
     profiles = []
     for bent in bents:
-        delta_bz = field(bent)[:, 2] - B_s[:, 2]
+        delta_bz = model(bent)._field_z(currents, points) - B_s[:, 2]
         # a trap whose bottom field lies along z feels the first-order change
         # delta_Bz; the bare wire's |B| changes only to second order, as the
         # wire field is perpendicular to delta_Bz

@@ -657,6 +657,37 @@ def test_planar_arithmetic_bitwise_equal_to_the_full_one(paper, monkeypatch):
     assert len(names) == 8
 
 
+def test_planar_blocks_read_no_d_y(paper):
+    # a planar block leaves out every product with d_y, so a field-only
+    # result of either path keeps its bits when the d_y rows are NaN.  The
+    # Jacobian is left out: its coeff * d term reads d_y by design
+    rng = np.random.default_rng(26)
+    layout = paper[0]
+    for channel in layout.channels:
+        table = _SegmentTable.build(*_channel_segments(layout, channel)[:2], 1.0 / 24)
+        assert table.planar.all()
+        poisoned = table._replace(d=table.d.copy())
+        poisoned.d[[1, 4]] = np.nan
+        blocks = list(zip(table.blocks.tolist(), table.planar.tolist()))
+        block = int(table.blocks[:, 2:].prod(axis=1).max())
+        block_nodes = int((table.blocks[:, 2] * (table.blocks[:, 3] + 1)).max())
+        cloud = _kernel_points(layout, rng, 40)
+        line = np.repeat(cloud[:1], 40, axis=0)
+        line[:, 2] = np.linspace(-1e-3, 1e-3, 40)
+        got = []
+        for t in (table, poisoned):
+            # each result is a view of the workspace, so it is read at once
+            with np.errstate(divide="ignore", invalid="ignore"):  # at a node, masked
+                calls = [fields._piece_field(points, t, blocks, block, block_nodes,
+                                             False).ravel().tolist()
+                         for points in (cloud, line)]
+                calls += [fields._line_piece_field(line, t, blocks, block, block_nodes, 2,
+                                                   rows).ravel().tolist()
+                          for rows in (fields._XYZ, fields._Z)]
+            got.append([[v.hex() for v in c] for c in calls])
+        assert got[0] == got[1], channel
+
+
 def test_kernel_field_and_jacobian_independent_of_block_size(monkeypatch):
     # runs cut into many pieces, or few runs per block: the same bits
     rng = np.random.default_rng(7)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from atomchip import fields, roughness
 from atomchip.constants import BOHR_MAGNETON, BOLTZMANN, GAUSS, MU_0, PLANCK
-from atomchip.errors import ChipError, ConfigError, GeometryError
+from atomchip.errors import ChipError, ConfigError, FieldDomainError, GeometryError
 from atomchip.fields import BiotSavartModel
-from atomchip.geometry import WireSegmentPath, builtin_paper_layout
+from atomchip.geometry import ChipLayout, CurrentConfig, WireSegmentPath, builtin_paper_layout
 from atomchip.reproduction import roughness_test_wire
 from atomchip.roughness import (
     RandomDeviation, SinusoidDeviation, TriangleDeviation, _merge_z_runs, _roughness_profiles,
@@ -106,6 +107,17 @@ def test_random_deviation_step_contract():
                         z_min=0, z_max=1e-3, step=20e-6)
 
 
+@pytest.mark.parametrize("step, shown", [
+    (0.0, "0"), (-1e-6, "-1e-06"), (np.nan, "nan"), (np.inf, "inf"), (20e-6, "2e-05"),
+])
+def test_random_deviation_rejects_bad_step(step, shown):
+    # 0 ended in a ZeroDivisionError and a negative or nan step in numpy
+    # ValueErrors; tiny positive steps are valid, and allocate huge grids
+    with pytest.raises(ConfigError, match=f"step must be > 0 and <= 5 um, got {shown} m"):
+        RandomDeviation(rms=1e-9, correlation_length=1e-4, seed=1,
+                        z_min=0, z_max=1e-3, step=step)
+
+
 # ---------------------------------------------------------------------------
 # roughness fields
 # ---------------------------------------------------------------------------
@@ -173,6 +185,116 @@ def test_merged_reference_keeps_turns_and_their_neighbours(nodes_um, kept):
     assert np.array_equal(_merge_z_runs(wire).nodes, wire.nodes[kept])
 
 
+def _profile_points(wire, n):
+    """n points of a roughness profile at 150 um, as _roughness_profiles
+    places them: at the centerline x nearest z = 0, z from -800 to 800 um."""
+    x = wire.nodes[np.argmin(np.abs(wire.nodes[:, 2])), 0]
+    z = np.linspace(-800e-6, 800e-6, n) if n > 1 else np.array([123e-6])
+    return np.column_stack([np.full(n, x), np.full(n, 150e-6), z])
+
+
+def _hex(values):
+    return [v.hex() for v in values.tolist()]
+
+
+def _line_rows(monkeypatch) -> list:
+    """The ``rows`` argument of each _line_piece_field call from here on, ()
+    where the caller leaves it out."""
+    rows = []
+    line = fields._line_piece_field
+    monkeypatch.setattr(fields, "_line_piece_field",
+                        lambda *args: rows.append(args[6:]) or line(*args))
+    return rows
+
+
+_MEANDERS = {
+    "sinusoid": SinusoidDeviation(30e-9, 200e-6, 0.4),
+    "triangle": TriangleDeviation(20e-9, 800e-6),
+    "random": RandomDeviation(rms=20e-9, correlation_length=60e-6, seed=5, z_min=-3e-3,
+                              z_max=3e-3),
+}
+
+
+@pytest.mark.parametrize("case", [*_MEANDERS, "z2 triangle"])
+def test_meandered_bz_alone_bitwise_equal_to_field(case, monkeypatch):
+    # the z row alone on the line path (161 points), and the stacked path's
+    # z row below _LINE_MIN_POINTS (16 points) and at one point
+    if case == "z2 triangle":
+        wire = builtin_paper_layout()[0].wire("z2")  # with its diagonal leads
+        bent = perturb_wire(wire, _MEANDERS["triangle"])
+    else:
+        wire = roughness_test_wire()
+        bent = perturb_wire(wire, _MEANDERS[case])
+    model = BiotSavartModel(ChipLayout(wires=(bent,)))
+    currents = CurrentConfig(dc={wire.channel: 2.0}, bias=(1e-4, -2e-5, 3.3e-5))
+    rows = _line_rows(monkeypatch)
+    for n in (161, 16, 1):
+        points = _profile_points(wire, n)
+        rows.clear()
+        alone = _hex(model._field_z(currents, points))
+        assert rows == ([(fields._Z,)] if n == 161 else []), (case, n)
+        assert alone == _hex(model.field(currents, points)[:, 2]), (case, n)
+
+
+# a random meander confined to +-800 um of the 6 mm test wire; its noise grid
+# reaches 5 correlation lengths further, to 1.31 mm
+_CONFINED = RandomDeviation(rms=20e-9, correlation_length=100e-6, seed=3, z_min=-800e-6,
+                            z_max=800e-6)
+
+
+def test_merged_meander_keeps_every_bz_bit():
+    wire = roughness_test_wire()
+    bent = perturb_wire(wire, _CONFINED)
+    merged = _merge_z_runs(bent)
+    # each straight lead's 338 segments become one
+    assert len(bent.nodes) == 1201 and len(merged.nodes) == 1201 - 2 * 337
+    assert np.allclose(merged.nodes[[0, 1, -2, -1], 2], [-3e-3, -1.31e-3, 1.31e-3, 3e-3],
+                       rtol=1e-12, atol=0.0)
+    currents = CurrentConfig(dc={"w": 2.0})
+    models = [BiotSavartModel(ChipLayout(wires=(w,))) for w in (merged, bent)]
+    for n in (161, 16, 1):
+        points = _profile_points(wire, n)
+        assert (_hex(models[0]._field_z(currents, points))
+                == _hex(models[1].field(currents, points)[:, 2])), n
+    # a zero-amplitude meander is the straight wire: one segment per filament
+    zero = perturb_wire(wire, SinusoidDeviation(0.0, 200e-6))
+    assert np.array_equal(_merge_z_runs(zero).nodes, wire.nodes)
+
+
+def test_unmeandered_stretches_leave_the_kernel(species, monkeypatch):
+    # the nodes of each wire roughness_field builds a model of: the straight
+    # reference, then the meandered wire with its straight stretches merged
+    nodes = []
+    model = roughness.BiotSavartModel
+    monkeypatch.setattr(roughness, "BiotSavartModel",
+                        lambda layout, *args: nodes.append(len(layout.wires[0].nodes))
+                        or model(layout, *args))
+    for deviation, expected in ((SinusoidDeviation(0.0, 200e-6), [2, 2]), (_CONFINED, [2, 527])):
+        nodes.clear()
+        roughness_field(roughness_test_wire(), deviation, current=2.0, height=150e-6,
+                        z_values=np.linspace(-800e-6, 800e-6, 41), species=species)
+        assert nodes == expected
+
+
+def test_profile_inside_the_wire_is_a_domain_error(species):
+    # 1 nm above the test wire's top face, inside its 1 nm conductor pad
+    wire = roughness_test_wire()
+    message = "point (0.000, 0.001, -800.000) um lies inside wire 'w'"
+    with pytest.raises(FieldDomainError) as raised:
+        roughness_field(wire, TriangleDeviation(20e-9, 800e-6), current=2.0, height=1e-9,
+                        z_values=np.linspace(-800e-6, 800e-6, 161), species=species)
+    assert str(raised.value) == message
+    # the meandered wire's B_z alone is checked as its field is
+    bent = perturb_wire(wire, TriangleDeviation(20e-9, 800e-6))
+    model = BiotSavartModel(ChipLayout(wires=(bent,)))
+    points = _profile_points(wire, 161)
+    points[:, 1] = 1e-9
+    for evaluate in (model.field, model._field_z):
+        with pytest.raises(FieldDomainError) as raised:
+            evaluate(CurrentConfig(dc={"w": 2.0}), points)
+        assert str(raised.value) == message
+
+
 def test_linearity_in_deviation_amplitude(straight_wire, species):
     z = np.linspace(-400e-6, 400e-6, 41)
     kw = dict(current=2.0, height=150e-6, z_values=z, species=species,
@@ -184,18 +306,21 @@ def test_linearity_in_deviation_amplitude(straight_wire, species):
 
 
 def test_profiles_share_one_straight_wire_field(straight_wire, species, monkeypatch):
-    # each profile has roughness_field's bits, from one straight-wire field
+    # each profile has roughness_field's bits, from one straight-wire field;
+    # each meandered wire takes its B_z alone
     z = np.linspace(-400e-6, 400e-6, 21)
     kw = dict(current=2.0, height=150e-6, z_values=z, species=species,
               n_width=4, n_thickness=1)
     deviations = (TriangleDeviation(20e-9, 800e-6), SinusoidDeviation(30e-9, 400e-6))
     alone = [repr(roughness_field(straight_wire, dev, **kw)) for dev in deviations]
-    calls = []
-    field = BiotSavartModel.field
-    monkeypatch.setattr(BiotSavartModel, "field",
-                        lambda self, *args: calls.append(self) or field(self, *args))
+    calls = {"field": 0, "_field_z": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(BiotSavartModel, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(BiotSavartModel, name, counted)
     assert [repr(p) for p in _roughness_profiles(straight_wire, deviations, **kw)] == alone
-    assert len(calls) == 3
+    assert calls == {"field": 1, "_field_z": 2}
 
 
 def test_height_smoothing_monotone(species):

@@ -3,11 +3,12 @@ reference wire had its z-parallel runs merged.
 
 ``tests/data/roughness_goldens.json`` holds, per case, the ``float.hex`` of
 each profile's ``delta_Bz``, ``delta_V`` and ``ratio_to_main``, and the
-sha256 of the README command's ``roughness.csv``.  A z-parallel segment adds
-an exact 0 to B_z, so merging such runs keeps every ``delta_Bz`` and
-``delta_V`` bit; only |B|, and with it ``ratio_to_main``, may round
-differently, so that is compared at rtol 1e-12.  The CSV prints the ratio to
-9 digits and keeps its bytes.
+sha256 of the ``roughness.csv`` of each README command line.  A z-parallel
+segment adds an exact 0 to B_z, so merging such runs keeps every
+``delta_Bz`` and ``delta_V`` bit; only |B|, and with it ``ratio_to_main``,
+may round differently, so that is compared at rtol 1e-12.  The CSV prints
+the ratio to 9 digits and keeps its bytes.  The ``--kind random`` CSV was
+recorded before the meandered wire's runs were merged too.
 """
 
 import hashlib
@@ -23,9 +24,13 @@ from atomchip.reproduction import rb87_f2m2, roughness_test_wire
 from atomchip.roughness import RandomDeviation, TriangleDeviation, _roughness_profiles
 
 GOLDENS = Path(__file__).parent / "data" / "roughness_goldens.json"
-# the README command line, which the CI workflow also checks against the sha256
-README_COMMAND = ["roughness", "--kind", "triangle", "--amplitude-nm", "20",
-                  "--period-um", "800"]
+# the README command lines, by the goldens key of their CSV's sha256, which
+# the CI workflow also checks
+README_COMMANDS = {
+    "readme_csv_sha256": ["roughness", "--kind", "triangle", "--amplitude-nm", "20",
+                          "--period-um", "800"],
+    "readme_random_csv_sha256": ["roughness", "--kind", "random", "--seed", "7"],
+}
 Z = np.linspace(-800e-6, 800e-6, 161)
 
 
@@ -61,16 +66,16 @@ def readme_z2_triangle():
 CASES = {fn.__name__: fn for fn in (c5_pair, random_test_wire, readme_z2_triangle)}
 
 
-def readme_csv_sha256(out: Path) -> str:
-    assert run(README_COMMAND + ["--out", str(out)]) == 0
+def readme_csv_sha256(out: Path, key: str = "readme_csv_sha256") -> str:
+    assert run(README_COMMANDS[key] + ["--out", str(out), "--force"]) == 0
     return hashlib.sha256((out / "roughness.csv").read_bytes()).hexdigest()
 
 
 def golden_values(out: Path) -> dict:
-    """Every case's values, and the CSV's sha256, as the goldens file stores
-    them; the CSV is written to ``out``."""
+    """Every case's values, and the CSVs' sha256, as the goldens file stores
+    them; the CSVs are written to ``out``."""
     return {**{name: fn() for name, fn in CASES.items()},
-            "readme_csv_sha256": readme_csv_sha256(out)}
+            **{key: readme_csv_sha256(out, key) for key in README_COMMANDS}}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -87,3 +92,8 @@ def test_delta_bz_and_delta_v_bitwise_equal_to_goldens(case):
 
 def test_readme_roughness_csv_keeps_its_sha256(tmp_path):
     assert readme_csv_sha256(tmp_path) == json.loads(GOLDENS.read_text())["readme_csv_sha256"]
+
+
+def test_readme_random_roughness_csv_keeps_its_sha256(tmp_path):
+    key = "readme_random_csv_sha256"
+    assert readme_csv_sha256(tmp_path, key) == json.loads(GOLDENS.read_text())[key]
