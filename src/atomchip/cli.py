@@ -133,6 +133,16 @@ def _read_csv_columns(path: str, columns: list[str]) -> list[np.ndarray]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _emit_json(ns, name: str, doc: str) -> None:
+    """Write the JSON ``doc`` to --out/``name``, or else to stdout."""
+    if ns.out:
+        out = Path(ns.out) / name
+        write_output(out, doc, ns.force)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(doc)
+
+
 def _cmd_field_map(ns) -> int:
     _check_threads(ns.threads)
     layout, currents, _, label = _load_config(ns.config)
@@ -175,13 +185,7 @@ def _cmd_trap(ns) -> int:
         "trap", config=label,
         overrides={"seed_point": ns.seed_point, "gravity": ns.gravity},
     )
-    doc = json_document(manifest, _trap_payload(tc))
-    if ns.out:
-        out = Path(ns.out) / "trap.json"
-        write_output(out, doc, ns.force)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(doc)
+    _emit_json(ns, "trap.json", json_document(manifest, _trap_payload(tc)))
     return 0
 
 
@@ -252,11 +256,14 @@ def _cmd_roughness(ns) -> int:
         z_values=z, species=species,
         n_width=ns.n_width, n_thickness=ns.n_thickness,
     )
+    # the chosen kind's own parameters only
+    if ns.kind == "random":
+        shape, seed = {"rms_nm": ns.rms_nm, "corr_um": ns.corr_um}, ns.seed
+    else:
+        shape, seed = {"amplitude_nm": ns.amplitude_nm, "period_um": ns.period_um}, None
     manifest = RunManifest.create(
-        "roughness", config=label, seed=ns.seed,
-        overrides={"wire": ns.wire, "kind": ns.kind, "amplitude_nm": ns.amplitude_nm,
-                   "period_um": ns.period_um, "rms_nm": ns.rms_nm,
-                   "corr_um": ns.corr_um, "height_um": ns.height_um,
+        "roughness", config=label, seed=seed,
+        overrides={"wire": ns.wire, "kind": ns.kind, **shape, "height_um": ns.height_um,
                    "current_A": current, "z_half_um": ns.z_half_um,
                    "points": ns.points},
     )
@@ -340,13 +347,7 @@ def _cmd_thermal(ns) -> int:
         overrides={"width_um": ns.width_um, "thickness_um": ns.thickness_um,
                    "length_mm": ns.length_mm, "current_A": ns.current_a},
     )
-    doc = json_document(manifest, payload)
-    if ns.out:
-        out = Path(ns.out) / "thermal.json"
-        write_output(out, doc, ns.force)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(doc)
+    _emit_json(ns, "thermal.json", json_document(manifest, payload))
     return 0
 
 
@@ -365,13 +366,7 @@ def _cmd_fringe_fit(ns) -> int:
         "contrast_pinned": fit.contrast_pinned,
     }
     manifest = RunManifest.create("fringe-fit", config=ns.input)
-    doc = json_document(manifest, payload)
-    if ns.out:
-        out = Path(ns.out) / "fringe_fit.json"
-        write_output(out, doc, ns.force)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(doc)
+    _emit_json(ns, "fringe_fit.json", json_document(manifest, payload))
     return 0
 
 

@@ -37,17 +37,19 @@ roughness profile and the split-scan slice are such lines.  The line path
 applies the same operations to the same operands in the orders above, so a
 point's bits do not depend on the path it takes.
 
-The line path forms and sums only the field rows its caller keeps: the
+A caller names the field rows it keeps (_segment_field's ``rows``): the
 roughness profile keeps B_z alone of its meandered wire
-(BiotSavartModel._field_z).  f, |f|^2 and the coefficient still take all
-three components, and each row is its own sum in the order above, so B_z
-keeps every bit.  The sum runs over a view of the kept rows whose inner
+(BiotSavartModel._field_z), every other caller all three.  The line path
+forms and sums only the kept rows; f, |f|^2 and the coefficient still take
+all three components, and each row is its own sum in the order above, so
+B_z keeps every bit.  The sum runs over a view of the kept rows whose inner
 axis is the points (numpy would sum a single point's view pairwise, and a
-line piece has at least _LINE_MIN_POINTS of them).
+line piece has at least _LINE_MIN_POINTS of them).  The stacked path forms
+all three rows, and the caller keeps its own.
 
 Every wire on an atom chip lies in the chip plane and every filament keeps
 one y, so the segment vectors d of a block usually all have d_y == 0; the
-table marks such blocks planar (_SegmentTable.planar).  A planar block
+table marks such blocks planar (_SegmentTable.blocks).  A planar block
 leaves out every product with d_y: the a_y * d_y term of both d.a sums, the
 a_z * d_y part of f_x (so f_x = a_y * d_z) and the a_x * d_y part of f_z (so
 f_z = -(a_y * d_x)), and in the Jacobian d_y * (1/|a2| - 1/|a1|) in the
@@ -121,7 +123,7 @@ _LINE_POINT_SEGMENTS = 2**15
 _LINE_MIN_POINTS = 32
 # point coordinates in the kernel's layout, see _SegmentTable.nodes
 _AXES = np.array([0, 1, 2, 0, 1])
-# field rows a line piece sums (_line_piece_field): all three, or B_z alone
+# field rows a caller keeps (_segment_field): all three, or B_z alone
 _XYZ = slice(0, 3)
 _Z = slice(2, 3)
 DOMAIN_PAD = 1e-9  # m, padding of the conductor test
@@ -135,7 +137,8 @@ _ONLINE_EPS = 1e-24  # (rho/L)^2 threshold: point on a segment's line contribute
 
 class _SegmentTable(NamedTuple):
     """One channel's segments, laid out for the kernel: one row per
-    coordinate, one column per segment or node.
+    coordinate, one column per segment or node, and the block plan both
+    kernel paths follow.
 
     The segments come in node runs: inside a run each segment starts at the
     previous one's end, bit for bit, so a run of L segments has L + 1 nodes
@@ -145,12 +148,16 @@ class _SegmentTable(NamedTuple):
     the node at their boundary.  Inside a block, segments and nodes go
     position by position along the runs, run by run within a position: the
     starts are then the block's first ``runs * length`` nodes and the ends
-    the same count from node ``runs`` on, both contiguous.
+    the same count from node ``runs`` on, both contiguous.  A block is
+    planar where every one of its segments has d_y == 0 (module docstring).
+    ``block`` and ``block_nodes`` size the kernels' buffers.
     """
 
     nodes: np.ndarray  # (5, M): the blocks' nodes as (x, y, z, x, y)
-    blocks: np.ndarray  # (B, 4): first segment, first node, runs, run length
-    planar: np.ndarray  # (B,): whether every segment of the block has d_y == 0
+    # per block: (first segment, first node, runs, run length, planar)
+    blocks: tuple[tuple[int, int, int, int, bool], ...]
+    block: int  # the most segments in a block
+    block_nodes: int  # the most nodes in a block
     d: np.ndarray  # (5, S): segment vector / squared length, as (x, y, z, x, y)
     scale: np.ndarray  # (S, 1): 1e-7 * current fraction; 1e-7 == mu_0 / 4 pi
 
@@ -185,10 +192,12 @@ class _SegmentTable(NamedTuple):
                          ends[lo + length - 1:hi:length])])
         d = np.concatenate([d[:, lo:hi].reshape(3, runs, length).transpose(0, 2, 1).reshape(3, -1)
                             for lo, hi, runs, length in spans], axis=1)
+        planar = (~np.logical_or.reduceat(d[1] != 0, [lo for lo, *_ in blocks])).tolist()
         return cls(
             nodes=np.ascontiguousarray(nodes[:, _AXES].T),
-            blocks=np.array(blocks),
-            planar=~np.logical_or.reduceat(d[1] != 0, [lo for lo, *_ in blocks]),
+            blocks=tuple((*b, flag) for b, flag in zip(blocks, planar)),
+            block=max(runs * length for _, _, runs, length in blocks),
+            block_nodes=max(runs * (length + 1) for _, _, runs, length in blocks),
             d=d[_AXES],
             scale=np.full((len(seg), 1), 1e-7 * fraction),
         )
@@ -214,61 +223,36 @@ def _buffers(*shapes: tuple[int, ...]) -> list[np.ndarray]:
     return views[shapes]
 
 
-def _segment_field(points: np.ndarray, table: _SegmentTable,
-                   jacobian: bool = False) -> np.ndarray:
+def _segment_field(points: np.ndarray, table: _SegmentTable, jacobian: bool = False,
+                   rows: slice = _XYZ) -> np.ndarray:
     """Biot-Savart field of weighted straight segments at unit current.
 
-    Closed-form finite-segment expression; (N,3) result for (N,3) points,
-    or with ``jacobian`` (N,12): the field, then dB_i/dx_j row by row.
+    Closed-form finite-segment expression; for (N,3) points the field rows
+    ``rows`` (a slice of x, y, z) as (N, k), or with ``jacobian`` (N,12):
+    the field, then dB_i/dx_j row by row.
 
-    Takes the points in pieces.  A field-only piece of up to
-    _LINE_POINT_SEGMENTS // block points that lies on a line along a
-    coordinate axis (_line_axis) goes to _line_piece_field; every other
-    piece, of at most _KERNEL_POINT_SEGMENTS // block points, to
-    _piece_field.  Both make the module docstring's roundings, so the path
-    a point takes does not show in its bits.
+    Takes the points in pieces, as the table's block plan sizes them.  A
+    field-only piece of up to _LINE_POINT_SEGMENTS // table.block points
+    that lies on a line along a coordinate axis (_line_axis) goes to
+    _line_piece_field, which forms the kept rows alone; every other piece,
+    of at most _KERNEL_POINT_SEGMENTS // table.block points, to
+    _piece_field, whose rows ``rows`` are kept.  Both make the module
+    docstring's roundings, so the path a point takes does not show in its
+    bits.
     """
-    # ([first segment, first node, runs, run length], planar) per block
-    blocks = list(zip(table.blocks.tolist(), table.planar.tolist()))
-    block = max(runs * length for (_, _, runs, length), _ in blocks)
-    block_nodes = max(runs * (length + 1) for (_, _, runs, length), _ in blocks)
-    rows = max(1, _KERNEL_POINT_SEGMENTS // block)
-    line_rows = max(1, _LINE_POINT_SEGMENTS // block)
-    out = np.empty((len(points), 12 if jacobian else 3))
+    stacked_points = max(1, _KERNEL_POINT_SEGMENTS // table.block)
+    line_points = max(1, _LINE_POINT_SEGMENTS // table.block)
+    out = np.empty((len(points), 12 if jacobian else rows.stop - rows.start))
     lo = 0
     while lo < len(points):
-        axis = None if jacobian else _line_axis(points[lo:lo + line_rows])
+        axis = None if jacobian else _line_axis(points[lo:lo + line_points])
         if axis is None:
-            piece = _piece_field(points[lo:lo + rows], table, blocks, block, block_nodes,
-                                 jacobian)
+            piece = _piece_field(points[lo:lo + stacked_points], table, jacobian)
+            piece = piece if jacobian else piece[rows]
         else:
-            piece = _line_piece_field(points[lo:lo + line_rows], table, blocks, block,
-                                      block_nodes, axis)
+            piece = _line_piece_field(points[lo:lo + line_points], table, axis, rows)
         out[lo:lo + piece.shape[1]] = piece.T
         lo += piece.shape[1]
-    return out
-
-
-def _segment_field_z(points: np.ndarray, table: _SegmentTable) -> np.ndarray:
-    """(N, 1) B_z column of ``_segment_field(points, table)``, bit for bit.
-
-    Takes the points in line pieces: one that lies on an axis line
-    (_line_axis) sums its z row alone (_line_piece_field's ``rows``); any
-    other goes to _segment_field, whose z row it keeps.  A function of its
-    own, so that _segment_field, which every trap search calls, does no
-    more work per call.
-    """
-    blocks = list(zip(table.blocks.tolist(), table.planar.tolist()))
-    block = max(runs * length for (_, _, runs, length), _ in blocks)
-    block_nodes = max(runs * (length + 1) for (_, _, runs, length), _ in blocks)
-    line_rows = max(1, _LINE_POINT_SEGMENTS // block)
-    out = np.empty((len(points), 1))
-    for lo in range(0, len(points), line_rows):
-        piece = points[lo:lo + line_rows]
-        axis = _line_axis(piece)
-        out[lo:lo + line_rows] = (
-            _segment_field(piece, table)[:, 2:] if axis is None else
-            _line_piece_field(piece, table, blocks, block, block_nodes, axis, _Z).T)
     return out
 
 
@@ -309,8 +293,8 @@ def _acc(ufunc: np.ufunc, x: np.ndarray | None, y: np.ndarray | None) -> np.ndar
     return ufunc(x, y, out=out)
 
 
-def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: int,
-                      block_nodes: int, axis: int, rows: slice = _XYZ) -> np.ndarray:
+def _line_piece_field(points: np.ndarray, table: _SegmentTable, axis: int,
+                      rows: slice) -> np.ndarray:
     """(k, N) field rows ``rows`` (a slice of x, y, z) of ``table``'s
     segments at N > 1 points that share all coordinates but ``axis``: those
     rows of _piece_field's result, bit for bit.
@@ -337,11 +321,12 @@ def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, bl
     sq_nodes = a_nodes * a_nodes
     # planes: a, then f * f; |a|, then f; d.a1, then f, and d.a2, then the
     # sine; the terms as in _piece_field, whose rows first hold f * f
+    block, block_nodes = table.block, table.block_nodes
     a_buf, r_buf, dots, terms = _buffers((block_nodes, n), (block_nodes, n), (2, block, n),
                                          (block + 1, 3, n))
     spare = terms[1:].reshape(3, block, n)[0]
     terms[0] = 0.0
-    for (lo, node, runs, length), planar in blocks:
+    for lo, node, runs, length, planar in table.blocks:
         b = runs * length
         m = b + runs
         hi = lo + b
@@ -386,8 +371,7 @@ def _line_piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, bl
     return terms[0, rows]
 
 
-def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: int,
-                 block_nodes: int, jacobian: bool) -> np.ndarray:
+def _piece_field(points: np.ndarray, table: _SegmentTable, jacobian: bool) -> np.ndarray:
     """(3, N) field of ``table``'s segments at ``points``, _segment_field's
     arithmetic one block at a time, each quantity one contiguous (segments
     or nodes x points) plane; each block's terms are added to a running
@@ -411,7 +395,7 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
     """
     p = points.T[_AXES][:, None]
     n = p.shape[-1]
-    d = table.d
+    d, block, block_nodes = table.d, table.block, table.block_nodes
     # per node: a as (x, y, z, x, y), |a|, and with ``jacobian`` 1 / |a|;
     # f as (x, y, z), and with ``jacobian`` (x, y, z, x, y); terms: the
     # running sum, then one row per segment, and jterms the same for
@@ -424,7 +408,7 @@ def _piece_field(points: np.ndarray, table: _SegmentTable, blocks: list, block: 
     terms[0] = 0.0
     if jacobian:
         jterms[0] = 0.0
-    for (lo, node, runs, length), planar in blocks:
+    for lo, node, runs, length, planar in table.blocks:
         b = runs * length
         m = b + runs
         hi = lo + b
@@ -589,10 +573,10 @@ class BiotSavartModel:
 
     def _field_z(self, currents: CurrentConfig, points: np.ndarray) -> np.ndarray:
         """(N,) B_z of ``field``, bit for bit, from each channel's z row
-        alone (_segment_field_z); the points are checked as there."""
+        alone (_segment_field's ``rows``); the points are checked as there."""
         B, _ = self._superpose(
             currents, points, currents.bias[2:],
-            lambda channel, pts: _segment_field_z(pts, self._channels[channel]))
+            lambda channel, pts: _segment_field(pts, self._channels[channel], rows=_Z))
         return B[:, 0]
 
     def _superpose(self, currents, points, bias, unit, channels=()):

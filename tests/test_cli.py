@@ -165,6 +165,15 @@ def test_thermal_runaway_reported(capsys):
     assert doc["dT_K"] is None
 
 
+def test_json_document_to_out_equals_stdout(tmp_path, capsys):
+    args = ["thermal", "--width-um", "100", "--current-A", "1.8"]
+    assert run(args) == 0
+    doc = capsys.readouterr().out
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'thermal.json'}\n"
+    assert (tmp_path / "thermal.json").read_text() == doc
+
+
 def test_thermal_nan_current_is_an_error(capsys):
     assert run(["thermal", "--current-A", "nan"]) == 1
     assert "current must be >= 0, got nan" in capsys.readouterr().err
@@ -208,6 +217,21 @@ def test_roughness_csv(tmp_path):
     body = (tmp_path / "roughness.csv").read_text().splitlines()
     assert body[1] == "z_um,dBz_mG,dV_h_kHz,ratio"
     assert len(body) == 23
+
+
+@pytest.mark.parametrize("kind, manifest", [
+    ("triangle", "amplitude_nm=20 current_A=2 height_um=150 kind=triangle period_um=800 "
+                 "points=5 wire=z2 z_half_um=200 tool_version"),
+    ("random", "corr_um=200 current_A=2 height_um=150 kind=random points=5 rms_nm=20 wire=z2 "
+               "z_half_um=200 seed=3 tool_version"),
+])
+def test_roughness_manifest_names_the_kinds_own_parameters(tmp_path, kind, manifest):
+    # a triangle ignores the random meander's rms, correlation length and
+    # seed, and a random meander the amplitude and period
+    assert run(["roughness", "--kind", kind, "--seed", "3", "--points", "5", "--z-half-um", "200",
+                "--n-width", "2", "--n-thickness", "1", "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "roughness.csv").read_text().splitlines()[0]
+    assert header.startswith(f"# manifest: command=roughness config=builtin {manifest}=")
 
 
 def test_split_scan_requires_rf_config(tmp_path, capsys):

@@ -321,15 +321,17 @@ def test_model_segment_tables_match_filament_loop(paper_model, bent):
         got = model._channels[channel]
         assert got.scale.tobytes() == (1e-7 * weights)[:, None].tobytes()
         for name, array, ref in zip(_SegmentTable._fields, got, expected):
-            assert array.tobytes() == ref.tobytes(), (channel, name)
+            if isinstance(ref, np.ndarray):
+                array, ref = array.tobytes(), ref.tobytes()
+            assert array == ref, (channel, name)
 
 
 def _index_built_layout(starts, ends, blocks):
     """A table's nodes and segment order built block by block from explicit
     index arrays of the position-by-position order."""
     columns = [(lo + length * np.arange(runs) + np.arange(length)[:, None]).ravel()
-               for lo, _, runs, length in blocks]
-    nodes = np.concatenate([rows for column, (*_, runs, _) in zip(columns, blocks)
+               for lo, _, runs, length, _ in blocks]
+    nodes = np.concatenate([rows for column, (_, _, runs, _, _) in zip(columns, blocks)
                             for rows in (starts[column], ends[column[-runs:]])])
     return nodes, np.concatenate(columns)
 
@@ -345,7 +347,7 @@ def test_segment_table_equal_to_index_built_layout(paper_model, case):
         tables = [_channel_segments(model.layout, c)[:2] for c in model.channels]
     for starts, ends in tables:
         table = _SegmentTable.build(starts, ends, 0.25)
-        nodes, order = _index_built_layout(starts, ends, table.blocks.tolist())
+        nodes, order = _index_built_layout(starts, ends, table.blocks)
         seg = ends - starts
         d = (seg / np.einsum("ij,ij->i", seg, seg)[:, None]).T[:, order]
         assert np.array_equal(table.nodes, nodes[:, [0, 1, 2, 0, 1]].T)
@@ -412,7 +414,7 @@ def _random_runs(rng, lengths):
 
 
 # blocks as [first segment, first node, runs, run length] at 256-segment
-# blocks
+# blocks; every block of these random runs has a d_y != 0
 _RUN_CASES = {
     # three runs longer than a block: every run is cut inside
     "3x300": ([300] * 3, [[0, 0, 1, 256], [256, 257, 1, 44], [300, 302, 1, 256],
@@ -433,7 +435,7 @@ def test_kernel_runs_bitwise_equal_to_einsum_reference(case, monkeypatch):
     rng = np.random.default_rng(len(lengths))
     starts, ends = _random_runs(rng, lengths)
     table = _SegmentTable.build(starts, ends, 0.25)
-    assert table.blocks.tolist() == blocks
+    assert table.blocks == tuple((*block, False) for block in blocks)
     points = _kernel_points(_TILTED, rng, 40)
     expected = _einsum_segment_field(points, starts, ends, np.full(len(starts), 0.25))
     assert _segment_field(points, table).tobytes() == expected.tobytes()
@@ -446,13 +448,13 @@ def _kernel_paths(monkeypatch, arithmetic=None) -> dict[str, int]:
     between calls."""
     counts = {"line": 0, "stacked": 0}
     for name, path in (("_line_piece_field", "line"), ("_piece_field", "stacked")):
-        def counted(points, table, blocks, *rest, _kernel=getattr(fields, name), _path=path):
+        def counted(points, table, *rest, _kernel=getattr(fields, name), _path=path):
             counts[_path] += len(points)
             if arithmetic is not None:
-                planar = sum(flag for _, flag in blocks)
+                planar = sum(block[4] for block in table.blocks)
                 arithmetic["planar"] += len(points) * planar
-                arithmetic["full"] += len(points) * (len(blocks) - planar)
-            return _kernel(points, table, blocks, *rest)
+                arithmetic["full"] += len(points) * (len(table.blocks) - planar)
+            return _kernel(points, table, *rest)
         monkeypatch.setattr(fields, name, counted)
     return counts
 
@@ -460,7 +462,7 @@ def _kernel_paths(monkeypatch, arithmetic=None) -> dict[str, int]:
 def _line_cases(layout, wire, table, rng):
     """Point sets on and off axis lines above ``layout``, with the points
     each path should take: (name, points, line points, stacked points)."""
-    rows = max(1, _LINE_POINT_SEGMENTS // int(table.blocks[:, 2:].prod(axis=1).max()))
+    rows = max(1, _LINE_POINT_SEGMENTS // table.block)
     n = 2 * rows + 40  # three pieces, the last one on the line too
     cases = []
     for axis in range(3):
@@ -502,12 +504,19 @@ def test_kernel_on_axis_lines_bitwise_equal_to_einsum_reference(paper, monkeypat
         table = _SegmentTable.build(starts, ends, weights[0])
         for name, points, line, stacked in _line_cases(layout, wire, table, rng):
             cases.add(name)
+            expected = {"line": line, "stacked": stacked}
             counts.update(line=0, stacked=0)
             with np.errstate(invalid="ignore"):  # 0/0 at a segment end, masked
-                expected = _einsum_segment_field(points, starts, ends, weights)
+                reference = _einsum_segment_field(points, starts, ends, weights)
                 got = _segment_field(points, table)
-            assert got.tobytes() == expected.tobytes(), (len(starts), name)
-            assert counts == {"line": line, "stacked": stacked}, (len(starts), name)
+            assert got.tobytes() == reference.tobytes(), (len(starts), name)
+            assert counts == expected, (len(starts), name)
+            # the z row alone, as the roughness profile keeps it
+            counts.update(line=0, stacked=0)
+            with np.errstate(invalid="ignore"):
+                z = _segment_field(points, table, rows=fields._Z)
+            assert z.tobytes() == got[:, 2:].tobytes(), (len(starts), name)
+            assert counts == expected, (len(starts), name)
     assert len(cases) == 7
 
 
@@ -571,9 +580,9 @@ def test_chip_wires_have_planar_segment_tables(paper_model):
                                                  SinusoidDeviation(50e-9, 2e-4))]
     for model in models:
         for channel, table in model._channels.items():
-            assert len(table.planar) == len(table.blocks), channel
-            assert table.planar.all() == (channel != "t"), channel
-            assert table.planar.any() == (channel != "t"), channel
+            planar = [block[4] for block in table.blocks]
+            assert all(planar) == (channel != "t"), channel
+            assert any(planar) == (channel != "t"), channel
     # a block is planar where each of its segments starts and ends at one
     # y: flat runs with a tilted one in between, and blocks of several runs
     rng = np.random.default_rng(3)
@@ -581,9 +590,9 @@ def test_chip_wires_have_planar_segment_tables(paper_model):
     starts, ends = (np.concatenate([flat[i][:120], tilted[i], flat[i][120:]]) for i in (0, 1))
     table = _SegmentTable.build(starts, ends, 0.25)
     expected = [bool(np.all(starts[lo:lo + runs * length, 1] == ends[lo:lo + runs * length, 1]))
-                for lo, _, runs, length in table.blocks.tolist()]
-    assert table.planar.tolist() == expected
-    assert True in expected and False in expected and max(table.blocks[:, 2]) > 1
+                for lo, _, runs, length, _ in table.blocks]
+    assert [block[4] for block in table.blocks] == expected
+    assert True in expected and False in expected and max(block[2] for block in table.blocks) > 1
 
 
 def _planar_point_sets(layout, wire, rng):
@@ -636,8 +645,8 @@ def test_planar_arithmetic_bitwise_equal_to_the_full_one(paper, monkeypatch):
     counts = _kernel_paths(monkeypatch, arithmetic)
     names = set()
     for layout_, wire, table in tables:
-        assert table.planar.all()
-        cleared = table._replace(planar=np.zeros_like(table.planar))
+        assert all(block[4] for block in table.blocks)
+        cleared = table._replace(blocks=tuple((*block[:4], False) for block in table.blocks))
         sets, centres = _planar_point_sets(layout_, wire, rng)
         if len(table.d[0]) > 1000:  # the 28,800-segment model: the cloud and the z line
             sets = {name: sets[name] for name in ("cloud", "z line")}
@@ -665,12 +674,9 @@ def test_planar_blocks_read_no_d_y(paper):
     layout = paper[0]
     for channel in layout.channels:
         table = _SegmentTable.build(*_channel_segments(layout, channel)[:2], 1.0 / 24)
-        assert table.planar.all()
+        assert all(block[4] for block in table.blocks)
         poisoned = table._replace(d=table.d.copy())
         poisoned.d[[1, 4]] = np.nan
-        blocks = list(zip(table.blocks.tolist(), table.planar.tolist()))
-        block = int(table.blocks[:, 2:].prod(axis=1).max())
-        block_nodes = int((table.blocks[:, 2] * (table.blocks[:, 3] + 1)).max())
         cloud = _kernel_points(layout, rng, 40)
         line = np.repeat(cloud[:1], 40, axis=0)
         line[:, 2] = np.linspace(-1e-3, 1e-3, 40)
@@ -678,11 +684,9 @@ def test_planar_blocks_read_no_d_y(paper):
         for t in (table, poisoned):
             # each result is a view of the workspace, so it is read at once
             with np.errstate(divide="ignore", invalid="ignore"):  # at a node, masked
-                calls = [fields._piece_field(points, t, blocks, block, block_nodes,
-                                             False).ravel().tolist()
+                calls = [fields._piece_field(points, t, False).ravel().tolist()
                          for points in (cloud, line)]
-                calls += [fields._line_piece_field(line, t, blocks, block, block_nodes, 2,
-                                                   rows).ravel().tolist()
+                calls += [fields._line_piece_field(line, t, 2, rows).ravel().tolist()
                           for rows in (fields._XYZ, fields._Z)]
             got.append([[v.hex() for v in c] for c in calls])
         assert got[0] == got[1], channel

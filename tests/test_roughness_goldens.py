@@ -8,7 +8,9 @@ segment adds an exact 0 to B_z, so merging such runs keeps every
 ``delta_Bz`` and ``delta_V`` bit; only |B|, and with it ``ratio_to_main``,
 may round differently, so that is compared at rtol 1e-12.  The CSV prints
 the ratio to 9 digits and keeps its bytes.  The ``--kind random`` CSV was
-recorded before the meandered wire's runs were merged too.
+recorded before the meandered wire's runs were merged too.  Both CSV
+sha256s were recorded again when the ``# manifest:`` line came to name
+only the chosen kind's parameters; their rows kept their bytes.
 """
 
 import hashlib

@@ -7,6 +7,8 @@ Run from anywhere; the checkout is the one holding this file.  The record
 
 - the commit (and whether the tree had uncommitted changes), nproc, and
   the Python, numpy and scipy versions
+- the lines of the ``.py`` files under ``src/``, ``tests/``, and
+  ``bench/`` + ``tools/``: net lines of code are a metric (ROADMAP.md)
 - the wall time of Tier-1 (the pytest command of ROADMAP.md) and its
   summary line
 - the cold-start wall time of each README command line that needs no input
@@ -79,6 +81,14 @@ def cold_start(line: str) -> dict:
     return {"median_s": statistics.median(times), "runs_s": times}
 
 
+def line_counts() -> dict:
+    """Lines of the ``.py`` files in the tree under each group of directories."""
+    groups = {"src": ("src",), "tests": ("tests",), "bench+tools": ("bench", "tools")}
+    return {name: sum(len(path.read_text().splitlines())
+                      for top in tops for path in (ROOT / top).rglob("*.py"))
+            for name, tops in groups.items()}
+
+
 def tier1() -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     seconds, proc = timed(cmd, ROOT)
@@ -110,6 +120,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "scipy": importlib.metadata.version("scipy"),
+        "lines": line_counts(),
     }
     print("Tier-1 ...", flush=True)
     record["tier1"] = tier1()
